@@ -6,26 +6,22 @@ from .canon import (ArrcodeTable, MotifClass, arrcode_table, build_arrcode,
 from .estimator import (CensusReport, MotifEstimate, SampleAccumulator,
                         mixed_estimate, optimal_lambda, run_sampled_census,
                         single_estimate)
-from .exact import (ExactCensus, connected_vertex_sets, enumerate_frames,
-                    exact_census, exact_frame_check)
-from .frames import (FrameBatch, FrameKind, FrameSample, FrameTotals,
-                     KoefTable, frame_sampler, frame_totals, kinds_for_size,
-                     koef_table, sample_chain, sample_fork, sample_trident)
+from .exact import ExactCensus, exact_census
+from .frames import (FrameBatch, FrameKind, FrameTotals, KoefTable,
+                     frame_sampler, frame_totals, kinds_for_size, koef_table)
 from .graphs import (EdgeListError, Graph, LoadReport, dumps_graph,
-                     induced_subgraph_code, induced_subgraph_codes,
-                     load_graph, loads_graph, pair_slots)
+                     induced_subgraph_codes, load_graph, loads_graph,
+                     pair_slots)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArrcodeTable", "CensusReport", "EdgeListError", "ExactCensus",
-    "FrameBatch", "FrameKind", "FrameSample", "FrameTotals", "Graph",
-    "KoefTable", "LoadReport", "MotifClass", "MotifEstimate",
-    "SampleAccumulator", "arrcode_table", "build_arrcode", "class_counts",
-    "classify", "connected_vertex_sets", "dumps_graph", "enumerate_frames",
-    "exact_census", "exact_frame_check", "frame_sampler", "frame_totals",
-    "induced_subgraph_code", "induced_subgraph_codes", "kinds_for_size",
-    "koef_table", "load_graph", "loads_graph", "mixed_estimate",
-    "optimal_lambda", "pair_slots", "run_sampled_census", "sample_chain",
-    "sample_fork", "sample_trident", "single_estimate",
+    "FrameBatch", "FrameKind", "FrameTotals", "Graph", "KoefTable",
+    "LoadReport", "MotifClass", "MotifEstimate", "SampleAccumulator",
+    "arrcode_table", "build_arrcode", "class_counts", "classify",
+    "dumps_graph", "exact_census", "frame_sampler", "frame_totals",
+    "induced_subgraph_codes", "kinds_for_size", "koef_table", "load_graph",
+    "loads_graph", "mixed_estimate", "optimal_lambda", "pair_slots",
+    "run_sampled_census", "single_estimate",
 ]

@@ -1,6 +1,6 @@
 """Command-line interface for exact and sampled motif censuses.
 
-Four subcommands: exact (full enumeration census), sample (frame-sampling
+Four subcommands: exact (census over every frame), sample (frame-sampling
 census), frames (exact frame totals), tables (dump the class and
 containment tables).  Reports go to stdout or --output as JSON or CSV;
 both formats carry the same numbers, and every report echoes the full run
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default=None,
                        help="write the report here instead of stdout")
 
-    p_exact = sub.add_parser("exact", help="exact census by enumeration")
+    p_exact = sub.add_parser("exact", help="exact census over every frame")
     add_io(p_exact)
     p_exact.add_argument("--size", type=int, choices=(3, 4), required=True)
     p_exact.set_defaults(func=_cmd_exact)

@@ -63,9 +63,6 @@ class SampleAccumulator:
                                  self.n_experiments + other.n_experiments,
                                  self.detections + other.detections)
 
-    def __add__(self, other):
-        return self.merge(other)
-
 
 @dataclass(frozen=True)
 class MotifEstimate:
@@ -282,14 +279,18 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
         remaining = {FrameKind.CHAIN: chain_budget,
                      FrameKind.TRIDENT: budget - chain_budget}
 
-    # one child stream per (worker, kind); kind slots are fixed by size so
-    # streams do not shift when a kind is inactive
-    worker_seqs = np.random.SeedSequence(seed).spawn(workers)
+    # one stream per (worker, kind), built on first use: spawn key (w, i)
+    # is child i of child w of SeedSequence(seed), as spawn() would make
+    # it.  Kind slots are fixed by size so streams do not shift when a
+    # kind is inactive
     rngs = {}
-    for w, wseq in enumerate(worker_seqs):
-        kid = wseq.spawn(len(kinds))
-        for i, kind in enumerate(kinds):
-            rngs[(kind, w)] = np.random.default_rng(kid[i])
+
+    def stream(kind: FrameKind, w: int) -> np.random.Generator:
+        if (kind, w) not in rngs:
+            seq = np.random.SeedSequence(seed,
+                                         spawn_key=(w, kinds.index(kind)))
+            rngs[(kind, w)] = np.random.default_rng(seq)
+        return rngs[(kind, w)]
 
     stop_reason = "budget"
     while True:
@@ -302,11 +303,9 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
             drew_any = True
             base, extra = divmod(chunk, workers)
             acc = accs[kind]
-            for w in range(workers):
+            for w in range(min(workers, chunk)):
                 m = base + (1 if w < extra else 0)
-                if m == 0:
-                    continue
-                batch = samplers[kind].sample_batch(rngs[(kind, w)], m)
+                batch = samplers[kind].sample_batch(stream(kind, w), m)
                 acc.n_experiments += m
                 keep = ~batch.degenerate
                 if keep.any():

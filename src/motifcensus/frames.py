@@ -19,6 +19,7 @@ motif's undirected view.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -68,45 +69,23 @@ class FrameTotals:
 
 
 def frame_totals(g: Graph) -> FrameTotals:
-    """Closed-form totals from the degree sequence and edge list."""
-    k = g.degrees
-    fork = int((k * (k - 1) // 2).sum())
-    trident = int((k * (k - 1) * (k - 2) // 6).sum())
-    if g.n_edges:
-        chain = int(((k[g.edge_u] - 1) * (k[g.edge_v] - 1)).sum())
-    else:
-        chain = 0
+    """Closed-form totals from the degree sequence and edge list, exact."""
+    k, count = np.unique(g.degrees, return_counts=True)
+    per_degree = list(zip(k.tolist(), count.tolist()))
+    fork = sum(math.comb(d, 2) * c for d, c in per_degree)
+    trident = sum(math.comb(d, 3) * c for d, c in per_degree)
+    chain = _exact_sum((g.degrees[g.edge_u] - 1) * (g.degrees[g.edge_v] - 1))
     return FrameTotals(fork, trident, chain)
 
 
 @dataclass(frozen=True)
-class FrameSample:
-    """One sampled frame.  Vertex layout by kind:
+class FrameBatch:
+    """Frames, one column each.  Vertex layout by kind:
 
     fork     (leaf, center, leaf)
     trident  (hub, leaf, leaf, leaf)
     chain    (end, middle, middle, end); degenerate when the ends coincide
     """
-
-    kind: FrameKind
-    vertices: tuple[int, ...]
-    degenerate: bool = False
-
-    def instance_key(self) -> tuple:
-        """Order-free identity of the underlying frame instance."""
-        v = self.vertices
-        if self.kind is FrameKind.FORK:
-            return (v[1], min(v[0], v[2]), max(v[0], v[2]))
-        if self.kind is FrameKind.TRIDENT:
-            return (v[0],) + tuple(sorted(v[1:]))
-        a, i, j, b = v
-        # a chain and its reversal are the same instance
-        return (i, j, a, b) if i < j else (j, i, b, a)
-
-
-@dataclass(frozen=True)
-class FrameBatch:
-    """Vectorized samples: one column per sample, layout as FrameSample."""
 
     kind: FrameKind
     vertices: np.ndarray
@@ -117,14 +96,40 @@ class FrameBatch:
         return int(self.vertices.shape[1])
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _exact_sum(weights: np.ndarray) -> int:
+    """Sum of nonnegative int64 weights as a Python int, never wrapping."""
+    # each 32-bit half sums within int64 for fewer than 2**31 terms
+    return ((int((weights >> 32).sum()) << 32)
+            + int((weights & 0xFFFFFFFF).sum()))
+
+
+def _comb(k: np.ndarray, r: int) -> np.ndarray:
+    """C(k, r) per entry as int64, exact; one evaluation per distinct k."""
+    distinct, inverse = np.unique(k, return_inverse=True)
+    values = [math.comb(d, r) for d in distinct.tolist()]
+    if values and values[-1] > _INT64_MAX:
+        raise ValueError(f"{values[-1]} frames around one vertex exceed the "
+                         f"64-bit range")
+    return np.array(values, dtype=np.int64)[inverse]
+
+
 class _CumulativeWeights:
-    """Integer cumulative weights for exact discrete sampling."""
+    """Integer cumulative weights: unit t of the total belongs to the item
+    whose cumulative range holds it.  Used to draw and to unrank frames."""
 
     def __init__(self, weights: np.ndarray):
-        self.cum = np.cumsum(weights.astype(np.int64))
-        self.total = int(self.cum[-1]) if weights.size else 0
-        if self.total < 0 or (weights < 0).any():
-            raise ValueError("frame totals exceed the 64-bit range")
+        self.total = _exact_sum(weights)
+        if self.total > _INT64_MAX:
+            raise ValueError(f"{self.total} frames exceed the 64-bit range")
+        self.cum = np.cumsum(weights)
+
+    def locate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Item holding each unit index, and the unit's offset inside it."""
+        i = np.searchsorted(self.cum, t, side="right")
+        return i, t - np.where(i > 0, self.cum[i - 1], 0)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # integer draws keep every unit of weight exactly equally likely
@@ -157,18 +162,13 @@ class ForkSampler:
         verts = np.stack([g.adj_flat[base + u], c, g.adj_flat[base + w]])
         return FrameBatch(self.kind, verts, np.zeros(size, dtype=bool))
 
-    def sample(self, rng: np.random.Generator) -> FrameSample:
-        batch = self.sample_batch(rng, 1)
-        a, c, b = (int(x) for x in batch.vertices[:, 0])
-        return FrameSample(self.kind, (a, c, b))
-
 
 class TridentSampler:
     kind = FrameKind.TRIDENT
 
     def __init__(self, g: Graph):
         k = g.degrees
-        self._pick = _CumulativeWeights(k * (k - 1) * (k - 2) // 6)
+        self._pick = _CumulativeWeights(_comb(k, 3))
         if self._pick.total == 0:
             raise ValueError("graph has no tridents")
         self._g = g
@@ -193,11 +193,6 @@ class TridentSampler:
         verts = np.stack([c, g.adj_flat[base + u1], g.adj_flat[base + u2],
                           g.adj_flat[base + u3]])
         return FrameBatch(self.kind, verts, np.zeros(size, dtype=bool))
-
-    def sample(self, rng: np.random.Generator) -> FrameSample:
-        batch = self.sample_batch(rng, 1)
-        c, a, b, d = (int(x) for x in batch.vertices[:, 0])
-        return FrameSample(self.kind, (c, a, b, d))
 
 
 class ChainSampler:
@@ -229,11 +224,6 @@ class ChainSampler:
         verts = np.stack([a, u, v, b])
         return FrameBatch(self.kind, verts, a == b)
 
-    def sample(self, rng: np.random.Generator) -> FrameSample:
-        batch = self.sample_batch(rng, 1)
-        a, u, v, b = (int(x) for x in batch.vertices[:, 0])
-        return FrameSample(self.kind, (a, u, v, b), degenerate=a == b)
-
 
 _SAMPLER_TYPES = {FrameKind.FORK: ForkSampler,
                   FrameKind.TRIDENT: TridentSampler,
@@ -246,21 +236,6 @@ def frame_sampler(g: Graph, kind: FrameKind):
     if kind not in g._samplers:
         g._samplers[kind] = _SAMPLER_TYPES[kind](g)
     return g._samplers[kind]
-
-
-def sample_fork(g: Graph, rng: np.random.Generator) -> FrameSample:
-    """One fork, every instance with probability exactly 1/n_fork."""
-    return frame_sampler(g, FrameKind.FORK).sample(rng)
-
-
-def sample_trident(g: Graph, rng: np.random.Generator) -> FrameSample:
-    """One trident, every instance with probability exactly 1/n_trident."""
-    return frame_sampler(g, FrameKind.TRIDENT).sample(rng)
-
-
-def sample_chain(g: Graph, rng: np.random.Generator) -> FrameSample:
-    """One chain outcome, each of the n_chain outcomes equally likely."""
-    return frame_sampler(g, FrameKind.CHAIN).sample(rng)
 
 
 # -- containment coefficients ---------------------------------------------

@@ -94,8 +94,6 @@ class Graph:
         self.arc_keys = arc_keys
         self.load_report = load_report
         self._label_ids = {lab: i for i, lab in enumerate(labels)}
-        self._adj_sets = None
-        self._arc_set = None
         self._samplers = {}
 
     @classmethod
@@ -139,30 +137,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
-
-    @property
-    def adjacency_sets(self) -> list[set]:
-        """Undirected neighbor sets, built lazily."""
-        if self._adj_sets is None:
-            off = self.adj_offsets
-            flat = self.adj_flat
-            self._adj_sets = [set(flat[off[v]:off[v + 1]].tolist())
-                              for v in range(self.n_vertices)]
-        return self._adj_sets
-
-    @property
-    def arc_set(self) -> set:
-        if not self.directed:
-            raise ValueError("undirected graph has no arcs")
-        if self._arc_set is None:
-            self._arc_set = set(self.arc_keys.tolist())
-        return self._arc_set
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency_sets[u]
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return u * self.n_vertices + v in self.arc_set
 
     def vertex_id(self, label: str) -> int:
         return self._label_ids[label]
@@ -288,38 +262,14 @@ def _in_sorted(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return (sorted_keys[idx_c] == queries) & (idx < sorted_keys.size)
 
 
-def induced_subgraph_code(g: Graph, vertices: Sequence[int]) -> int:
-    """Bitmask of the subgraph induced by 3 or 4 distinct vertices.
-
-    Bit s is set when the pair at slot s (see pair_slots) is an edge, or
-    an arc for directed graphs.  The code depends on the vertex order;
-    use the class tables to get an order-free identity.
-    """
-    vs = [int(v) for v in vertices]
-    k = len(vs)
-    if k not in (3, 4):
-        raise ValueError(f"subgraph size must be 3 or 4, got {k}")
-    if len(set(vs)) != k:
-        raise ValueError("vertices must be distinct")
-    if any(v < 0 or v >= g.n_vertices for v in vs):
-        raise ValueError("vertex id out of range")
-    code = 0
-    if g.directed:
-        arcs = g.arc_set
-        n = g.n_vertices
-        for s, (i, j) in enumerate(pair_slots(k, True)):
-            if vs[i] * n + vs[j] in arcs:
-                code |= 1 << s
-    else:
-        adj = g.adjacency_sets
-        for s, (i, j) in enumerate(pair_slots(k, False)):
-            if vs[j] in adj[vs[i]]:
-                code |= 1 << s
-    return code
-
-
 def induced_subgraph_codes(g: Graph, vertices: np.ndarray) -> np.ndarray:
-    """Vectorized induced_subgraph_code over columns of a (k, batch) array."""
+    """Induced-subgraph bitmask of each column of a (k, batch) array.
+
+    Each column holds 3 or 4 distinct vertices.  Bit s is set when the pair
+    at slot s (see pair_slots) is an edge, or an arc for directed graphs.
+    A code depends on the vertex order; use the class tables to get an
+    order-free identity.
+    """
     verts = np.asarray(vertices, dtype=np.int64)
     k = verts.shape[0]
     n = g.n_vertices

@@ -1,8 +1,9 @@
 """Independent slow-path oracles the tests compare the package against.
 
-Nothing here reuses the package's enumeration or classification logic
-beyond raw code computation; connectivity, grouping and counting are
-reimplemented the straightforward way.
+Nothing here reuses the package's enumeration or classification logic:
+adjacency, pair codes, frames, connectivity and counting are rebuilt from
+the raw edge and arc arrays the straightforward way.  Only the class
+tables come from the package, to name the classes.
 """
 
 from itertools import combinations, permutations
@@ -10,7 +11,7 @@ from itertools import combinations, permutations
 import networkx as nx
 import numpy as np
 
-from motifcensus import Graph, arrcode_table, induced_subgraph_code
+from motifcensus import FrameKind, Graph, arrcode_table, pair_slots
 
 
 def to_nx(g: Graph):
@@ -36,9 +37,72 @@ def random_graph(rng: np.random.Generator, n: int, p: float,
     return Graph.from_edges(n, pairs, directed=directed)
 
 
+def neighbor_sets(g: Graph) -> list:
+    """Undirected neighbor set of every vertex."""
+    adj = [set() for _ in range(g.n_vertices)]
+    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def induced_code(g: Graph, vertices) -> int:
+    """Pair bitmask of the subgraph induced by 3 or 4 distinct vertices,
+    one set lookup per slot (see pair_slots)."""
+    vs = [int(v) for v in vertices]
+    if g.directed:
+        present = set(map(tuple, g.arcs().tolist()))
+    else:
+        present = set(zip(g.edge_u.tolist(), g.edge_v.tolist()))
+    code = 0
+    for s, (i, j) in enumerate(pair_slots(len(vs), g.directed)):
+        a, b = vs[i], vs[j]
+        if not g.directed:
+            a, b = min(a, b), max(a, b)
+        if (a, b) in present:
+            code |= 1 << s
+    return code
+
+
+def frames_brute(g: Graph, kind: FrameKind) -> list:
+    """Every frame instance by plain loops, as (vertices, degenerate) with
+    the FrameBatch column layout; chains include the degenerate ones."""
+    adj = neighbor_sets(g)
+    out = []
+    if kind is FrameKind.FORK:
+        for c in range(g.n_vertices):
+            for a, b in combinations(sorted(adj[c]), 2):
+                out.append(((a, c, b), False))
+    elif kind is FrameKind.TRIDENT:
+        for c in range(g.n_vertices):
+            for leaves in combinations(sorted(adj[c]), 3):
+                out.append(((c,) + leaves, False))
+    else:
+        for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+            for a in sorted(adj[u] - {v}):
+                for b in sorted(adj[v] - {u}):
+                    out.append(((a, u, v, b), a == b))
+    return out
+
+
+def frame_keys(g: Graph, kind: FrameKind, vertices) -> np.ndarray:
+    """Order-free instance identity of each frame column, packed in int64."""
+    n = g.n_vertices
+    v = np.asarray(vertices, dtype=np.int64).reshape(kind.size, -1)
+    if kind is FrameKind.FORK:
+        lo = np.minimum(v[0], v[2])
+        hi = np.maximum(v[0], v[2])
+        return (v[1] * n + lo) * n + hi
+    if kind is FrameKind.TRIDENT:
+        leaves = np.sort(v[1:], axis=0)
+        return ((v[0] * n + leaves[0]) * n + leaves[1]) * n + leaves[2]
+    # chains come out with the stored edge orientation u < v
+    return ((v[1] * n + v[2]) * n + v[0]) * n + v[3]
+
+
 def connected_sets_brute(g: Graph, size: int) -> list:
     """All connected vertex sets of one size, by checking every subset."""
-    adj = g.adjacency_sets
+    adj = neighbor_sets(g)
     out = []
     for combo in combinations(range(g.n_vertices), size):
         inside = set(combo)
@@ -60,7 +124,7 @@ def brute_force_census(g: Graph, size: int) -> dict:
     table = arrcode_table(size, g.directed)
     counts = {cls.class_id: 0 for cls in table.classes if cls.connected}
     for combo in connected_sets_brute(g, size):
-        counts[table.classify(induced_subgraph_code(g, combo))] += 1
+        counts[table.classify(induced_code(g, combo))] += 1
     return counts
 
 
@@ -106,6 +170,6 @@ def spanning_path_count(adj: list) -> int:
 
 def common_neighbor_pairs(g: Graph) -> int:
     """Sum over edges of shared-neighbor counts (degenerate chain count)."""
-    adj = g.adjacency_sets
+    adj = neighbor_sets(g)
     return sum(len(adj[int(u)] & adj[int(v)])
                for u, v in zip(g.edge_u, g.edge_v))

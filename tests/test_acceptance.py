@@ -15,13 +15,11 @@ import pytest
 from scipy import stats
 
 from motifcensus import (FrameKind, Graph, arrcode_table, build_arrcode,
-                         class_counts, enumerate_frames, exact_census,
-                         exact_frame_check, frame_sampler, frame_totals,
-                         koef_table, kinds_for_size, load_graph,
-                         run_sampled_census)
-from conftest import data_path, record_criterion
-from oracles import (common_neighbor_pairs, isomorphism_class_counts,
-                     random_graph)
+                         exact_census, frame_sampler, frame_totals,
+                         koef_table, kinds_for_size, run_sampled_census)
+from conftest import record_criterion
+from oracles import (common_neighbor_pairs, frame_keys, frames_brute,
+                     isomorphism_class_counts, random_graph)
 
 
 def criterion(num, label):
@@ -94,7 +92,7 @@ def test_criterion_3_frame_identities():
         g = random_graph(rng, n, p, directed)
         totals = frame_totals(g)
         for kind in (FrameKind.FORK, FrameKind.TRIDENT, FrameKind.CHAIN):
-            assert totals.for_kind(kind) == exact_frame_check(g, kind)
+            assert totals.for_kind(kind) == len(frames_brute(g, kind))
 
         c3 = exact_census(g, 3).counts
         k3 = koef_table(3, directed)
@@ -116,30 +114,6 @@ def test_criterion_3_frame_identities():
 # -- criterion 4 ------------------------------------------------------------
 
 
-def _pack_keys(keys, n):
-    packed = []
-    for key in keys:
-        acc = 0
-        for part in key:
-            acc = acc * n + part
-        packed.append(acc)
-    return packed
-
-
-def _sampled_keys(g, kind, batch):
-    n = g.n_vertices
-    v = batch.vertices.astype(np.int64)
-    if kind is FrameKind.FORK:
-        lo = np.minimum(v[0], v[2])
-        hi = np.maximum(v[0], v[2])
-        return (v[1] * n + lo) * n + hi
-    if kind is FrameKind.TRIDENT:
-        leaves = np.sort(v[1:], axis=0)
-        return ((v[0] * n + leaves[0]) * n + leaves[1]) * n + leaves[2]
-    # chain batches come out with the stored edge orientation u < v
-    return ((v[1] * n + v[2]) * n + v[0]) * n + v[3]
-
-
 @criterion(4, "equiprobable sampling (chi-square at 1e-3, 1e5 per kind)")
 def test_criterion_4_equiprobability(k4):
     t0 = time.perf_counter()
@@ -149,12 +123,11 @@ def test_criterion_4_equiprobability(k4):
     for g, seed0 in ((k4, 400), (eight, 500)):
         for offset, kind in enumerate(
                 (FrameKind.FORK, FrameKind.TRIDENT, FrameKind.CHAIN)):
-            expected = sorted(_pack_keys(
-                [s.instance_key() for s in enumerate_frames(g, kind)],
-                g.n_vertices))
+            expected = sorted(frame_keys(g, kind, np.array(
+                [v for v, _ in frames_brute(g, kind)]).T).tolist())
             rng = np.random.default_rng(seed0 + offset)
             batch = frame_sampler(g, kind).sample_batch(rng, n_samples)
-            got = _sampled_keys(g, kind, batch)
+            got = frame_keys(g, kind, batch.vertices)
             uniq, obs = np.unique(got, return_counts=True)
             assert uniq.tolist() == expected
             p = stats.chisquare(obs).pvalue

@@ -287,3 +287,45 @@ def test_variance_estimate_tracks_spread(k4):
         predicted.append(row["variance"])
     empirical = float(np.var(values))
     assert np.mean(predicted) == pytest.approx(empirical, rel=0.5)
+
+
+def test_streams_are_built_only_where_they_draw(monkeypatch):
+    g = random_graph(np.random.default_rng(60), 20, 0.3, directed=False)
+    made = []
+    real = np.random.default_rng
+
+    def counting(seed=None):
+        made.append(seed)
+        return real(seed)
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    report = run_sampled_census(g, 4, budget=1000, seed=3, workers=10_000,
+                                batch_size=100)
+    # 500 experiments per kind in rounds of 100: only workers 0..99 draw,
+    # and each keeps its stream from round to round
+    assert report.experiments["chain"]["n_experiments"] == 500
+    assert report.experiments["trident"]["n_experiments"] == 500
+    assert len(made) == 2 * 100
+
+
+# (chain degenerate, {class_id: (chain, trident) detections}) of one seeded
+# run per worker count, recorded with SeedSequence(seed).spawn(workers)
+# and then .spawn(n_kinds) per worker; the seeded stream layout must not
+# drift, so earlier reports stay reproducible
+SEEDED_RUNS = {
+    1: (107, {3: (0, 423), 6: (449, 0), 7: (331, 617), 8: (168, 0),
+              9: (151, 169), 10: (44, 42)}),
+    3: (119, {3: (0, 392), 6: (495, 0), 7: (316, 598), 8: (130, 0),
+              9: (148, 224), 10: (42, 37)}),
+}
+
+
+@pytest.mark.parametrize("workers", sorted(SEEDED_RUNS))
+def test_seeded_streams_are_unchanged(workers):
+    g = random_graph(np.random.default_rng(61), 14, 0.35, directed=False)
+    report = run_sampled_census(g, 4, budget=2_501, seed=17,
+                                workers=workers, batch_size=400)
+    degenerate, detections = SEEDED_RUNS[workers]
+    assert report.experiments["chain"]["degenerate"] == degenerate
+    assert {m["class_id"]: (m["detections"]["chain"],
+                            m["detections"]["trident"])
+            for m in report.motifs} == detections

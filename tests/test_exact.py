@@ -1,12 +1,15 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from motifcensus import (FrameKind, Graph, arrcode_table,
-                         connected_vertex_sets, enumerate_frames,
-                         exact_census, exact_frame_check, frame_totals,
-                         koef_table, loads_graph)
-from oracles import (brute_force_census, common_neighbor_pairs,
-                     connected_sets_brute, random_graph)
+from motifcensus import (FrameKind, Graph, arrcode_table, exact,
+                         exact_census, frame_totals, koef_table, loads_graph)
+from motifcensus.exact import _FLUSH, _frame_batches
+from oracles import (brute_force_census, common_neighbor_pairs, frame_keys,
+                     frames_brute, random_graph)
+
+ALL_KINDS = (FrameKind.FORK, FrameKind.TRIDENT, FrameKind.CHAIN)
 
 
 def test_k4_censuses(k4):
@@ -28,17 +31,6 @@ def test_directed_census(ffl):
     c3 = exact_census(ffl, 3)
     table = arrcode_table(3, True)
     assert c3.nonzero() == {table.classify(0b001011): 1}
-
-
-def test_vertex_sets_unique_and_complete():
-    rng = np.random.default_rng(51)
-    for trial in range(20):
-        n = int(rng.integers(4, 13))
-        g = random_graph(rng, n, float(rng.uniform(0.15, 0.8)), False)
-        for size in (3, 4):
-            got = [tuple(sorted(vs)) for vs in connected_vertex_sets(g, size)]
-            assert len(got) == len(set(got))
-            assert sorted(got) == sorted(connected_sets_brute(g, size))
 
 
 def test_census_matches_brute_force():
@@ -89,33 +81,99 @@ def test_frame_handshakes():
                    for cid, cnt in c4.items()) == open_chains
 
 
+def _walk(g, kind):
+    batches = list(_frame_batches(g, kind))
+    if not batches:
+        return (np.empty((kind.size, 0), dtype=np.int64),
+                np.empty(0, dtype=bool))
+    return (np.concatenate([b.vertices for b in batches], axis=1),
+            np.concatenate([b.degenerate for b in batches]))
+
+
+def test_frame_walk_matches_the_loop_oracle():
+    # each frame once, the same instances as the plain-loop enumeration
+    rng = np.random.default_rng(56)
+    for trial in range(20):
+        n = int(rng.integers(4, 13))
+        p = float(rng.uniform(0.15, 0.8))
+        g = random_graph(rng, n, p, bool(trial % 2))
+        totals = frame_totals(g)
+        for kind in ALL_KINDS:
+            verts, degenerate = _walk(g, kind)
+            expected = frames_brute(g, kind)
+            assert verts.shape[1] == totals.for_kind(kind) == len(expected)
+            got = frame_keys(g, kind, verts)
+            assert len(set(got.tolist())) == got.size
+            want = frame_keys(g, kind, np.array(
+                [v for v, _ in expected], dtype=np.int64).T)
+            assert sorted(got.tolist()) == sorted(want.tolist())
+            flagged = dict(zip(want.tolist(), (d for _, d in expected)))
+            assert [flagged[k] for k in got.tolist()] == degenerate.tolist()
+
+
 def test_degenerate_chain_flags_match_the_oracle():
     rng = np.random.default_rng(55)
     g = random_graph(rng, 10, 0.5, False)
-    flagged = sum(1 for s in enumerate_frames(g, FrameKind.CHAIN)
-                  if s.degenerate)
-    assert flagged == common_neighbor_pairs(g)
+    _, degenerate = _walk(g, FrameKind.CHAIN)
+    assert int(degenerate.sum()) == common_neighbor_pairs(g)
 
 
-def test_exact_frame_check_values(k3, k4):
-    assert exact_frame_check(k3, FrameKind.FORK) == 3
-    assert exact_frame_check(k4, FrameKind.CHAIN) == 24
+def test_enumerated_frame_counts(k3, k4):
+    assert _walk(k3, FrameKind.FORK)[0].shape[1] == 3
+    assert _walk(k4, FrameKind.CHAIN)[0].shape[1] == 24
     star = loads_graph("0 1\n0 2\n0 3\n")
-    assert exact_frame_check(star, FrameKind.TRIDENT) == 1
+    assert _walk(star, FrameKind.TRIDENT)[0].shape[1] == 1
 
 
-def test_exact_frame_check_guard():
-    # a big star has ~20k forks: enumeration must refuse
-    star = Graph.from_edges(201, [(0, i) for i in range(1, 201)])
-    with pytest.raises(ValueError, match="exceed"):
-        exact_frame_check(star, FrameKind.FORK)
+def _count_classify_calls(monkeypatch):
+    calls = []
+    real = exact.induced_subgraph_codes
+
+    def counted(g, verts):
+        calls.append(verts.shape[1])
+        return real(g, verts)
+    monkeypatch.setattr(exact, "induced_subgraph_codes", counted)
+    return calls
+
+
+def test_clique_chains_span_three_chunks(monkeypatch):
+    # K_16: 120 edges x 14 x 14 = 23,520 chains, 3 chunks; 1,680 of them
+    # are closed triangles, and the other 21,840 are 12 per K4
+    k16 = Graph.from_edges(16, combinations(range(16), 2))
+    calls = _count_classify_calls(monkeypatch)
+    table = arrcode_table(4, False)
+    assert exact_census(k16, 4).nonzero() == {table.classify(0b111111): 1820}
+    assert frame_totals(k16).n_chain == 23_520 > 2 * _FLUSH
+    assert len(calls) == 3 + 1  # chain chunks, then one trident chunk
+    assert sum(calls[:3]) == 23_520 - 1_680
+    assert exact_census(k16, 3).nonzero() == \
+        {arrcode_table(3, False).classify(0b111): 560}
+
+
+def test_star_tridents_span_two_chunks(monkeypatch):
+    # K_{1,40}: C(40, 3) = 9,880 tridents and no chains; only tridents
+    # see the star class
+    star = Graph.from_edges(41, [(0, i) for i in range(1, 41)])
+    calls = _count_classify_calls(monkeypatch)
+    table = arrcode_table(4, False)
+    assert exact_census(star, 4).nonzero() == \
+        {table.classify(0b000111): 9880}
+    assert calls == [_FLUSH, 9880 - _FLUSH]
+
+
+def test_inconsistent_hits_raise(monkeypatch):
+    # a classifier that calls every frame a clique breaks divisibility
+    rng = np.random.default_rng(57)
+    g = random_graph(rng, 9, 0.5, False)
+    monkeypatch.setattr(exact, "induced_subgraph_codes",
+                        lambda g, v: np.full(v.shape[1], 0b111111))
+    with pytest.raises(RuntimeError):
+        exact_census(g, 4)
 
 
 def test_census_size_validation(k4):
     with pytest.raises(ValueError):
         exact_census(k4, 5)
-    with pytest.raises(ValueError):
-        list(connected_vertex_sets(k4, 1))
 
 
 def test_disconnected_components_do_not_mix():

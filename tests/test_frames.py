@@ -1,12 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from motifcensus import (FrameKind, Graph, arrcode_table, enumerate_frames,
-                         frame_sampler, frame_totals, koef_table, loads_graph,
-                         kinds_for_size, pair_slots, sample_chain,
-                         sample_fork, sample_trident)
-from oracles import random_graph, spanning_path_count
+from motifcensus import (FrameKind, arrcode_table, frame_sampler,
+                         frame_totals, koef_table, loads_graph,
+                         kinds_for_size, pair_slots)
+from motifcensus.frames import ChainSampler, TridentSampler
+from oracles import (frame_keys, frames_brute, neighbor_sets, random_graph,
+                     spanning_path_count)
 
 ALL_KINDS = (FrameKind.FORK, FrameKind.TRIDENT, FrameKind.CHAIN)
 
@@ -41,60 +44,96 @@ def test_totals_match_enumeration_on_random_graphs():
         g = random_graph(rng, n, p, directed)
         totals = frame_totals(g)
         for kind in ALL_KINDS:
-            assert totals.for_kind(kind) == \
-                sum(1 for _ in enumerate_frames(g, kind))
+            assert totals.for_kind(kind) == len(frames_brute(g, kind))
 
 
 def test_enumerated_instances_are_unique():
     rng = np.random.default_rng(32)
     g = random_graph(rng, 10, 0.5, directed=False)
     for kind in ALL_KINDS:
-        keys = [s.instance_key() for s in enumerate_frames(g, kind)]
+        verts = np.array([v for v, _ in frames_brute(g, kind)]).T
+        keys = frame_keys(g, kind, verts).tolist()
         assert len(keys) == len(set(keys))
+
+
+def _degrees_only(degrees):
+    # just what the totals and the vertex-weighted samplers read
+    k = np.array(degrees, dtype=np.int64)
+    none = np.empty(0, dtype=np.int64)
+    return SimpleNamespace(degrees=k, edge_u=none, edge_v=none)
+
+
+def test_totals_and_weights_do_not_wrap():
+    # k(k-1)(k-2)/6 at k = 3e6 fits int64, but k(k-1)(k-2) does not
+    k = 3_000_000
+    hub = k * (k - 1) * (k - 2) // 6
+    assert hub == 4_499_995_500_001_000_000
+    assert frame_totals(_degrees_only([k])).n_trident == hub
+    assert TridentSampler(_degrees_only([k])).total == hub
+    three = _degrees_only([k] * 3)
+    assert frame_totals(three).n_trident == 3 * hub  # past 2**63, exact
+    with pytest.raises(ValueError, match="64-bit"):
+        TridentSampler(three)
+    with pytest.raises(ValueError, match="64-bit"):
+        TridentSampler(_degrees_only([5_000_000]))  # one C(k, 3) > 2**63
+
+
+def test_chain_totals_do_not_wrap():
+    # four edges of weight (3e9 - 1)**2 ~ 9e18 each sum past 2**63
+    k = np.array([3_000_000_000] * 8, dtype=np.int64)
+    g = SimpleNamespace(degrees=k, edge_u=np.arange(0, 8, 2),
+                        edge_v=np.arange(1, 8, 2))
+    assert frame_totals(g).n_chain == 4 * (3_000_000_000 - 1) ** 2
+    with pytest.raises(ValueError, match="64-bit"):
+        ChainSampler(g)
 
 
 def test_samplers_refuse_empty_frame_sets():
     single = loads_graph("0 1\n")
-    rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="no forks"):
-        sample_fork(single, rng)
+        frame_sampler(single, FrameKind.FORK)
     with pytest.raises(ValueError, match="no tridents"):
-        sample_trident(single, rng)
+        frame_sampler(single, FrameKind.TRIDENT)
     with pytest.raises(ValueError, match="no chains"):
-        sample_chain(single, rng)
+        frame_sampler(single, FrameKind.CHAIN)
     # max degree 2: forks exist, tridents do not
     with pytest.raises(ValueError, match="no tridents"):
-        sample_trident(loads_graph("0 1\n1 2\n"), rng)
+        frame_sampler(loads_graph("0 1\n1 2\n"), FrameKind.TRIDENT)
+
+
+def _one(g, kind, rng):
+    batch = frame_sampler(g, kind).sample_batch(rng, 1)
+    return batch.vertices[:, 0].tolist(), bool(batch.degenerate[0])
 
 
 def test_sampled_frames_are_real_frames():
     rng = np.random.default_rng(33)
     g = random_graph(rng, 15, 0.3, directed=False)
-    adj = g.adjacency_sets
+    adj = neighbor_sets(g)
     for _ in range(50):
-        a, c, b = sample_fork(g, rng).vertices
+        (a, c, b), _ = _one(g, FrameKind.FORK, rng)
         assert a != b and a in adj[c] and b in adj[c]
-        c2, x, y, z = sample_trident(g, rng).vertices
+        (c2, x, y, z), _ = _one(g, FrameKind.TRIDENT, rng)
         assert len({x, y, z}) == 3
         assert {x, y, z} <= adj[c2]
-        s = sample_chain(g, rng)
-        ca, u, v, cb = s.vertices
+        (ca, u, v, cb), degenerate = _one(g, FrameKind.CHAIN, rng)
         assert v in adj[u] and ca in adj[u] and cb in adj[v]
         assert ca != v and cb != u
-        assert s.degenerate == (ca == cb)
+        assert degenerate == (ca == cb)
 
 
 def test_chain_on_triangle_is_always_degenerate(k3):
     rng = np.random.default_rng(34)
     for _ in range(30):
-        assert sample_chain(k3, rng).degenerate
+        assert _one(k3, FrameKind.CHAIN, rng)[1]
 
 
 def test_chain_on_path3_is_the_single_path(path3):
     rng = np.random.default_rng(35)
-    s = sample_chain(path3, rng)
-    assert not s.degenerate
-    assert s.instance_key() == (1, 2, 0, 3)
+    verts, degenerate = _one(path3, FrameKind.CHAIN, rng)
+    assert not degenerate
+    assert frame_keys(path3, FrameKind.CHAIN, verts).tolist() == \
+        frame_keys(path3, FrameKind.CHAIN, [0, 1, 2, 3]).tolist()
 
 
 def test_sampling_is_deterministic(k4):
@@ -108,20 +147,20 @@ def test_sampling_is_deterministic(k4):
 def _instance_counts(g, kind, n_samples, seed):
     sampler = frame_sampler(g, kind)
     batch = sampler.sample_batch(np.random.default_rng(seed), n_samples)
-    samples = batch.vertices.T.tolist()
-    from motifcensus import FrameSample
-    counts = {}
-    for t, row in enumerate(samples):
-        key = FrameSample(kind, tuple(row),
-                          bool(batch.degenerate[t])).instance_key()
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    keys, counts = np.unique(frame_keys(g, kind, batch.vertices),
+                             return_counts=True)
+    return dict(zip(keys.tolist(), counts.tolist()))
+
+
+def _brute_keys(g, kind):
+    verts = np.array([v for v, _ in frames_brute(g, kind)]).T
+    return set(frame_keys(g, kind, verts).tolist())
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_equiprobable_sampling_chi_square(k4, kind):
     # all instances enumerable: uniformity must survive a chi-square test
-    expected_keys = {s.instance_key() for s in enumerate_frames(k4, kind)}
+    expected_keys = _brute_keys(k4, kind)
     n_samples = 40_000
     counts = _instance_counts(k4, kind, n_samples, seed=101)
     assert set(counts) == expected_keys
@@ -133,7 +172,7 @@ def test_equiprobable_sampling_chi_square(k4, kind):
 def test_equiprobable_on_irregular_graph():
     # star plus pendant path stresses the weighted center/edge choice
     g = loads_graph("0 1\n0 2\n0 3\n3 4\n4 5\n")
-    expected = {s.instance_key() for s in enumerate_frames(g, FrameKind.FORK)}
+    expected = _brute_keys(g, FrameKind.FORK)
     counts = _instance_counts(g, FrameKind.FORK, 40_000, seed=103)
     assert set(counts) == expected
     p = stats.chisquare([counts[k] for k in sorted(expected)]).pvalue

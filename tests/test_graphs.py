@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from motifcensus import (EdgeListError, Graph, dumps_graph,
-                         induced_subgraph_code, induced_subgraph_codes,
-                         loads_graph, pair_slots)
-from oracles import random_graph
+                         induced_subgraph_codes, loads_graph, pair_slots)
+from oracles import induced_code, random_graph
+
+
+def _code(g, vertices):
+    return int(induced_subgraph_codes(g, np.array(vertices)[:, None])[0])
 
 
 def test_triangle_basics(k3):
@@ -12,7 +15,7 @@ def test_triangle_basics(k3):
     assert k3.n_edges == 3
     assert k3.degrees.tolist() == [2, 2, 2]
     assert not k3.directed
-    assert k3.has_edge(0, 2)
+    assert k3.neighbors(0).tolist() == [1, 2]
 
 
 def test_duplicate_edges_collapse():
@@ -26,7 +29,7 @@ def test_reciprocal_arcs_are_one_edge():
     assert g.n_arcs == 2
     assert g.n_edges == 1
     assert g.degrees.tolist() == [1, 1]
-    assert g.has_arc(0, 1) and g.has_arc(1, 0)
+    assert g.arcs().tolist() == [[0, 1], [1, 0]]
 
 
 def test_directed_duplicates_counted_on_arcs():
@@ -71,7 +74,7 @@ def test_labels_remap_and_invert():
     g = loads_graph("alpha beta\nbeta gamma\n")
     assert g.labels == ("alpha", "beta", "gamma")
     assert g.vertex_id("gamma") == 2
-    assert g.has_edge(g.vertex_id("alpha"), g.vertex_id("beta"))
+    assert g.vertex_id("beta") in g.neighbors(g.vertex_id("alpha"))
 
 
 def test_adjacency_rows_sorted():
@@ -129,25 +132,16 @@ def test_pair_slot_order():
 
 def test_induced_code_examples(k3, path3):
     # bit 0 = pair (0,1), bit 1 = (0,2), bit 2 = (1,2)
-    assert induced_subgraph_code(k3, (0, 1, 2)) == 0b111
-    assert induced_subgraph_code(path3, (0, 1, 2)) == 0b101
-    assert induced_subgraph_code(path3, (0, 1, 3)) == 0b001
+    assert _code(k3, (0, 1, 2)) == 0b111
+    assert _code(path3, (0, 1, 2)) == 0b101
+    assert _code(path3, (0, 1, 3)) == 0b001
     # edges (0,1), (1,2), (2,3) sit at slots 0, 3, 5 of the quad order
-    assert induced_subgraph_code(path3, (0, 1, 2, 3)) == 0b101001
+    assert _code(path3, (0, 1, 2, 3)) == 0b101001
 
 
 def test_induced_code_directed(ffl):
     # arcs 0->1, 0->2, 1->2 against slots (01,02,10,12,20,21)
-    assert induced_subgraph_code(ffl, (0, 1, 2)) == 0b001011
-
-
-def test_induced_code_validation(k3):
-    with pytest.raises(ValueError):
-        induced_subgraph_code(k3, (0, 1))
-    with pytest.raises(ValueError):
-        induced_subgraph_code(k3, (0, 1, 1))
-    with pytest.raises(ValueError):
-        induced_subgraph_code(k3, (0, 1, 9))
+    assert _code(ffl, (0, 1, 2)) == 0b001011
 
 
 def test_vectorized_codes_match_scalar():
@@ -161,7 +155,7 @@ def test_vectorized_codes_match_scalar():
             ]).T
             batch = induced_subgraph_codes(g, cols)
             for t in range(cols.shape[1]):
-                assert batch[t] == induced_subgraph_code(g, cols[:, t])
+                assert batch[t] == induced_code(g, cols[:, t])
 
 
 def test_code_respects_vertex_order():
@@ -170,6 +164,6 @@ def test_code_respects_vertex_order():
     g = random_graph(rng, 12, 0.4, directed=False)
     from itertools import permutations
     vs = (1, 5, 8)
-    codes = {induced_subgraph_code(g, p) for p in permutations(vs)}
+    codes = {_code(g, p) for p in permutations(vs)}
     ones = {bin(c).count("1") for c in codes}
     assert len(ones) == 1  # edge count is order-free even when bits move
