@@ -2,7 +2,7 @@
 subgraph classes in directed and undirected graphs."""
 
 from .canon import (ArrcodeTable, MotifClass, arrcode_table, build_arrcode,
-                    class_counts, classify)
+                    class_counts)
 from .estimator import (CensusReport, MotifEstimate, SampleAccumulator,
                         mixed_estimate, optimal_lambda, run_sampled_census,
                         single_estimate)
@@ -19,9 +19,9 @@ __all__ = [
     "ArrcodeTable", "CensusReport", "EdgeListError", "ExactCensus",
     "FrameBatch", "FrameKind", "FrameTotals", "Graph", "KoefTable",
     "LoadReport", "MotifClass", "MotifEstimate", "SampleAccumulator",
-    "arrcode_table", "build_arrcode", "class_counts", "classify",
-    "dumps_graph", "exact_census", "frame_sampler", "frame_totals",
-    "induced_subgraph_codes", "kinds_for_size", "koef_table", "load_graph",
-    "loads_graph", "mixed_estimate", "optimal_lambda", "pair_slots",
-    "run_sampled_census", "single_estimate",
+    "arrcode_table", "build_arrcode", "class_counts", "dumps_graph",
+    "exact_census", "frame_sampler", "frame_totals", "induced_subgraph_codes",
+    "kinds_for_size", "koef_table", "load_graph", "loads_graph",
+    "mixed_estimate", "optimal_lambda", "pair_slots", "run_sampled_census",
+    "single_estimate",
 ]

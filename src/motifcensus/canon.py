@@ -68,9 +68,6 @@ class ArrcodeTable:
                 f"{'directed' if self.directed else 'undirected'} table")
         return int(self.entries[code])
 
-    def canonical_code(self, code: int) -> int:
-        return self.classes[self.classify(code)].canonical_code
-
     def connected_class_ids(self) -> tuple[int, ...]:
         return tuple(c.class_id for c in self.classes if c.connected)
 
@@ -139,11 +136,6 @@ def build_arrcode(size: int, directed: bool) -> ArrcodeTable:
 def arrcode_table(size: int, directed: bool) -> ArrcodeTable:
     """Cached accessor; build_arrcode does the actual work."""
     return build_arrcode(size, directed)
-
-
-def classify(table: ArrcodeTable, code: int) -> int:
-    """Class id of a raw adjacency code."""
-    return table.classify(code)
 
 
 def class_counts(size: int, directed: bool) -> tuple[int, int]:

@@ -132,6 +132,12 @@ def _flat_config(config: dict) -> dict:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = load_graph(args.input, directed=args.directed)
+    totals = frame_totals(g)
+    walked = {kind.value: totals.for_kind(kind)
+              for kind in kinds_for_size(args.size)}
+    # one classification per frame: say the cost before paying it
+    print("exact census walks " + ", ".join(
+        f"{n} {kind} frames" for kind, n in walked.items()), file=sys.stderr)
     census = exact_census(g, args.size)
     table = arrcode_table(args.size, g.directed)
     config = _config_dict(args)
@@ -146,6 +152,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
             "size": args.size,
             "directed": g.directed,
             "total": census.total(),
+            "frame_totals": walked,
             "motifs": motifs,
             "elapsed": census.elapsed,
         }
@@ -153,8 +160,11 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     else:
         rows = [[m["class_id"], m["canonical_code"], m["count"]]
                 for m in motifs]
-        _emit_csv(_flat_config(config),
-                  ["class_id", "canonical_code", "count"], rows, args.output)
+        comments = _flat_config(config)
+        for kind, n in walked.items():
+            comments[f"frame_total_{kind}"] = n
+        _emit_csv(comments, ["class_id", "canonical_code", "count"], rows,
+                  args.output)
     return 0
 
 

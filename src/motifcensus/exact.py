@@ -7,23 +7,21 @@ each one induces, and dividing the per-class hits by koef gives the exact
 counts.  Degenerate chains (closed triangles) induce no 4-vertex set and
 are skipped.
 
-Frames are walked in vectorized chunks of instance indices, unranked through
-the same cumulative weights the samplers draw from.  The division doubles as
-a check: hits must be whole multiples of koef, and chains and tridents must
-agree on every class both of them see.
+Frames are walked in vectorized chunks of ranks 0 .. total - 1, unranked by
+the same FrameSet that sampling draws random ranks from.  The division
+doubles as a check: hits must be whole multiples of koef, and chains and
+tridents must agree on every class both of them see.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .canon import arrcode_table
-from .frames import (FrameBatch, FrameKind, _CumulativeWeights,
-                     kinds_for_size, koef_table)
+from .frames import FrameSet, kinds_for_size, koef_table
 from .graphs import Graph, induced_subgraph_codes
 
 _FLUSH = 8192
@@ -53,54 +51,6 @@ class ExactCensus:
         }
 
 
-def _frame_batches(g: Graph, kind: FrameKind) -> Iterator[FrameBatch]:
-    """Every frame of one kind once, in batches of at most _FLUSH.
-
-    A chain is unranked as its middle edge, weighted (k_u - 1)(k_v - 1),
-    then the skip-adjusted row positions of its two ends, as the chain
-    sampler draws them.  A fork or trident is unranked as a CSR half-edge,
-    whose target is the first leaf, plus one or two later neighbors in the
-    same row, so each leaf set is reached once, in row order.
-    """
-    kind = FrameKind(kind)
-    if kind is FrameKind.CHAIN:
-        ku = g.degrees[g.edge_u]
-        kv = g.degrees[g.edge_v]
-        pick = _CumulativeWeights((ku - 1) * (kv - 1))
-    else:
-        hub = np.repeat(np.arange(g.n_vertices, dtype=np.int64), g.degrees)
-        later = g.adj_offsets[hub + 1] - np.arange(hub.size) - 1
-        pick = _CumulativeWeights(
-            later if kind is FrameKind.FORK else later * (later - 1) // 2)
-    flat = g.adj_flat
-    for start in range(0, pick.total, _FLUSH):
-        t = np.arange(start, min(start + _FLUSH, pick.total), dtype=np.int64)
-        i, r = pick.locate(t)
-        if kind is FrameKind.CHAIN:
-            u = g.edge_u[i]
-            v = g.edge_v[i]
-            ia, ib = np.divmod(r, g.degrees[v] - 1)
-            ia += ia >= g.edge_pos_in_u[i]  # skip v in u's row
-            ib += ib >= g.edge_pos_in_v[i]  # skip u in v's row
-            a = flat[g.adj_offsets[u] + ia]
-            b = flat[g.adj_offsets[v] + ib]
-            yield FrameBatch(kind, np.stack([a, u, v, b]), a == b)
-            continue
-        no_degenerate = np.zeros(t.size, dtype=bool)
-        if kind is FrameKind.FORK:
-            verts = np.stack([flat[i], hub[i], flat[i + 1 + r]])
-        else:
-            # r ranks the later pair lo < hi in colex order:
-            # r = hi (hi - 1) / 2 + lo; the float root is off by at most one
-            hi = ((1 + np.sqrt(1 + 8 * r)) / 2).astype(np.int64)
-            hi -= hi * (hi - 1) // 2 > r
-            hi += hi * (hi + 1) // 2 <= r
-            lo = r - hi * (hi - 1) // 2
-            verts = np.stack([hub[i], flat[i], flat[i + 1 + lo],
-                              flat[i + 1 + hi]])
-        yield FrameBatch(kind, verts, no_degenerate)
-
-
 def exact_census(g: Graph, size: int) -> ExactCensus:
     """Count every connected motif class of one size exactly."""
     t0 = time.perf_counter()
@@ -111,7 +61,10 @@ def exact_census(g: Graph, size: int) -> ExactCensus:
     counted = np.zeros(table.n_classes, dtype=bool)
     for kind in kinds:
         hits = np.zeros(table.n_classes, dtype=np.int64)
-        for batch in _frame_batches(g, kind):
+        frames = FrameSet(g, kind)
+        for start in range(0, frames.total, _FLUSH):
+            batch = frames.unrank(np.arange(
+                start, min(start + _FLUSH, frames.total), dtype=np.int64))
             codes = induced_subgraph_codes(
                 g, batch.vertices[:, ~batch.degenerate])
             hits += np.bincount(table.entries[codes],

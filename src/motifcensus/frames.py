@@ -6,12 +6,14 @@ A frame is a small spanning tree drawn around a vertex or an edge:
   trident  3-star on 4 vertices, centered on its hub
   chain    3-edge path on 4 vertices, built around its middle edge
 
-Totals follow from degrees alone, so each kind can be sampled with every
-instance equally likely.  A chain drawn around edge (i, j) picks one extra
-neighbor on each side; when both picks coincide the outcome is degenerate:
-it still consumes one experiment but cannot detect any motif.
+Totals follow from degrees alone, and one ranking numbers every frame of a
+kind 0 .. total - 1 (see FrameSet).  Exact census unranks every index once;
+sampling unranks uniform random indices, so every instance is equally
+likely.  A chain around edge (i, j) has one extra neighbor on each side;
+when both coincide the frame is degenerate: a sampled one still consumes
+one experiment but cannot detect any motif.
 
-Sampling happens on the undirected view; directed graphs are classified
+Frames live on the undirected view; directed graphs are classified
 afterwards from their arcs.  Containment coefficients (how many frame
 instances live inside one motif instance) are likewise computed on the
 motif's undirected view.
@@ -118,7 +120,7 @@ def _comb(k: np.ndarray, r: int) -> np.ndarray:
 
 class _CumulativeWeights:
     """Integer cumulative weights: unit t of the total belongs to the item
-    whose cumulative range holds it.  Used to draw and to unrank frames."""
+    whose cumulative range holds it."""
 
     def __init__(self, weights: np.ndarray):
         self.total = _exact_sum(weights)
@@ -131,110 +133,104 @@ class _CumulativeWeights:
         i = np.searchsorted(self.cum, t, side="right")
         return i, t - np.where(i > 0, self.cum[i - 1], 0)
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        # integer draws keep every unit of weight exactly equally likely
-        r = rng.integers(0, self.total, size=size, dtype=np.int64)
-        return np.searchsorted(self.cum, r, side="right")
+
+def _choose2(x: np.ndarray) -> np.ndarray:
+    """C(x, 2), halving the even factor first so nothing wraps."""
+    return (x >> 1) * ((x - 1) | 1)
 
 
-class ForkSampler:
-    kind = FrameKind.FORK
+def _choose3(x: np.ndarray) -> np.ndarray:
+    """C(x, 3) = C(x, 2) (x - 2) / 3, with no product above the result."""
+    q, s = np.divmod(_choose2(x), 3)
+    return q * (x - 2) + s * (x - 2) // 3
 
-    def __init__(self, g: Graph):
-        k = g.degrees
-        self._pick = _CumulativeWeights(k * (k - 1) // 2)
-        if self._pick.total == 0:
-            raise ValueError("graph has no forks")
+
+def _colex_top(r: np.ndarray, top: np.ndarray, choose) -> tuple:
+    """Largest top with choose(top) <= r, from a float estimate off by at
+    most one, and the rank left below it."""
+    top -= choose(top) > r
+    top += choose(top + 1) <= r
+    return top, r - choose(top)
+
+
+def _colex_pair(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions lo < hi of colex rank r = C(hi, 2) + lo."""
+    hi = ((1 + np.sqrt(1 + 8.0 * r)) / 2).astype(np.int64)
+    hi, lo = _colex_top(r, hi, _choose2)
+    return lo, hi
+
+
+def _colex_triple(r: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Positions lo < mid < hi of colex rank C(hi, 3) + C(mid, 2) + lo."""
+    # 6 C(hi, 3) = (hi - 1)^3 - (hi - 1), so hi - 1 is about cbrt(6 r)
+    hi = np.cbrt(6.0 * r).astype(np.int64) + 1
+    hi, r = _colex_top(r, hi, _choose3)
+    return (*_colex_pair(r), hi)
+
+
+class FrameSet:
+    """Every frame of one kind, ranked 0 .. total - 1.
+
+    A fork or trident ranks as its center, weighted C(k, 2) or C(k, 3),
+    then the colex rank of its leaf positions in the center's CSR row.
+    A chain ranks as its middle edge, weighted (k_u - 1)(k_v - 1), then
+    the row positions of its two ends, each skipping the other middle
+    vertex.  The exact census unranks every index once; sampling unranks
+    uniform random ones.
+    """
+
+    def __init__(self, g: Graph, kind: FrameKind):
+        self.kind = FrameKind(kind)
         self._g = g
+        if self.kind is FrameKind.CHAIN:
+            ku = g.degrees[g.edge_u]
+            kv = g.degrees[g.edge_v]
+            weights = (ku - 1) * (kv - 1)
+        else:
+            weights = _comb(g.degrees, self.kind.size - 1)
+        self._pick = _CumulativeWeights(weights)
 
     @property
     def total(self) -> int:
         return self._pick.total
 
-    def sample_batch(self, rng: np.random.Generator, size: int) -> FrameBatch:
+    def unrank(self, t: np.ndarray) -> FrameBatch:
+        """The frames of ranks t, one column each."""
         g = self._g
-        c = self._pick.draw(rng, size)
-        k = g.degrees[c]
-        u = rng.integers(0, k, dtype=np.int64)
-        w = rng.integers(0, k - 1, dtype=np.int64)
-        w += w >= u  # distinct second leaf, still uniform
-        base = g.adj_offsets[c]
-        verts = np.stack([g.adj_flat[base + u], c, g.adj_flat[base + w]])
-        return FrameBatch(self.kind, verts, np.zeros(size, dtype=bool))
-
-
-class TridentSampler:
-    kind = FrameKind.TRIDENT
-
-    def __init__(self, g: Graph):
-        k = g.degrees
-        self._pick = _CumulativeWeights(_comb(k, 3))
-        if self._pick.total == 0:
-            raise ValueError("graph has no tridents")
-        self._g = g
-
-    @property
-    def total(self) -> int:
-        return self._pick.total
+        i, r = self._pick.locate(t)
+        if self.kind is FrameKind.CHAIN:
+            u = g.edge_u[i]
+            v = g.edge_v[i]
+            ia, ib = np.divmod(r, g.degrees[v] - 1)
+            ia += ia >= g.edge_pos_in_u[i]  # skip v in u's row
+            ib += ib >= g.edge_pos_in_v[i]  # skip u in v's row
+            a = g.adj_flat[g.adj_offsets[u] + ia]
+            b = g.adj_flat[g.adj_offsets[v] + ib]
+            return FrameBatch(self.kind, np.stack([a, u, v, b]), a == b)
+        row = g.adj_offsets[i]
+        if self.kind is FrameKind.FORK:
+            a, b = g.adj_flat[row + np.stack(_colex_pair(r))]
+            verts = np.stack([a, i, b])
+        else:
+            leaves = g.adj_flat[row + np.stack(_colex_triple(r))]
+            verts = np.vstack([i, leaves])
+        return FrameBatch(self.kind, verts, np.zeros(t.size, dtype=bool))
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> FrameBatch:
-        g = self._g
-        c = self._pick.draw(rng, size)
-        k = g.degrees[c]
-        u1 = rng.integers(0, k, dtype=np.int64)
-        u2 = rng.integers(0, k - 1, dtype=np.int64)
-        u2 += u2 >= u1
-        lo = np.minimum(u1, u2)
-        hi = np.maximum(u1, u2)
-        u3 = rng.integers(0, k - 2, dtype=np.int64)
-        u3 += u3 >= lo
-        u3 += u3 >= hi  # ordered skips keep the third leaf uniform
-        base = g.adj_offsets[c]
-        verts = np.stack([c, g.adj_flat[base + u1], g.adj_flat[base + u2],
-                          g.adj_flat[base + u3]])
-        return FrameBatch(self.kind, verts, np.zeros(size, dtype=bool))
+        """Uniform frames: integer ranks keep every frame equally likely."""
+        return self.unrank(rng.integers(0, self.total, size=size,
+                                        dtype=np.int64))
 
 
-class ChainSampler:
-    kind = FrameKind.CHAIN
-
-    def __init__(self, g: Graph):
-        ku = g.degrees[g.edge_u]
-        kv = g.degrees[g.edge_v]
-        self._pick = _CumulativeWeights((ku - 1) * (kv - 1))
-        if self._pick.total == 0:
-            raise ValueError("graph has no chains")
-        self._g = g
-
-    @property
-    def total(self) -> int:
-        return self._pick.total
-
-    def sample_batch(self, rng: np.random.Generator, size: int) -> FrameBatch:
-        g = self._g
-        e = self._pick.draw(rng, size)
-        u = g.edge_u[e]
-        v = g.edge_v[e]
-        ia = rng.integers(0, g.degrees[u] - 1, dtype=np.int64)
-        ia += ia >= g.edge_pos_in_u[e]  # skip v in u's row
-        ib = rng.integers(0, g.degrees[v] - 1, dtype=np.int64)
-        ib += ib >= g.edge_pos_in_v[e]  # skip u in v's row
-        a = g.adj_flat[g.adj_offsets[u] + ia]
-        b = g.adj_flat[g.adj_offsets[v] + ib]
-        verts = np.stack([a, u, v, b])
-        return FrameBatch(self.kind, verts, a == b)
-
-
-_SAMPLER_TYPES = {FrameKind.FORK: ForkSampler,
-                  FrameKind.TRIDENT: TridentSampler,
-                  FrameKind.CHAIN: ChainSampler}
-
-
-def frame_sampler(g: Graph, kind: FrameKind):
-    """Sampler for one frame kind, cached per graph."""
+def frame_sampler(g: Graph, kind: FrameKind) -> FrameSet:
+    """Frame set of one kind to sample from, cached per graph; refuses a
+    kind the graph has no frames of."""
     kind = FrameKind(kind)
     if kind not in g._samplers:
-        g._samplers[kind] = _SAMPLER_TYPES[kind](g)
+        frames = FrameSet(g, kind)
+        if frames.total == 0:
+            raise ValueError(f"graph has no {kind.value}s")
+        g._samplers[kind] = frames
     return g._samplers[kind]
 
 

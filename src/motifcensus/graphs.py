@@ -88,7 +88,7 @@ class Graph:
         self.edge_v = edge_v
         self.edge_keys = edge_keys
         # position of v inside u's adjacency row (and vice versa), per edge;
-        # the chain sampler needs these to exclude the co-endpoint in O(1)
+        # chain frames need these to skip the co-endpoint in O(1)
         self.edge_pos_in_u = edge_pos_in_u
         self.edge_pos_in_v = edge_pos_in_v
         self.arc_keys = arc_keys

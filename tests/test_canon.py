@@ -3,7 +3,7 @@ from itertools import permutations
 import pytest
 
 from motifcensus import (arrcode_table, build_arrcode, class_counts,
-                         classify, pair_slots)
+                         pair_slots)
 from oracles import isomorphism_class_counts
 
 FAMILIES = [(3, False), (3, True), (4, False), (4, True)]
@@ -111,11 +111,11 @@ def test_directed_triples_have_13_connected_classes():
 
 def test_classify_function_and_bounds():
     table = arrcode_table(3, False)
-    assert classify(table, 0b111) == 3
+    assert table.classify(0b111) == 3
     with pytest.raises(ValueError):
-        classify(table, 8)
+        table.classify(8)
     with pytest.raises(ValueError):
-        classify(table, -1)
+        table.classify(-1)
 
 
 def test_build_arrcode_rejects_bad_size():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from motifcensus import cli
 from motifcensus.cli import DEFAULT_SEED, build_parser, main
 from conftest import data_path
 
@@ -35,7 +36,8 @@ def parse_csv(text):
 def test_exact_json(capsys):
     code, out, err = run_cli(capsys, "exact", "-i", str(data_path("k4.txt")),
                              "--size", "4")
-    assert code == 0 and not err
+    assert code == 0
+    assert err == "exact census walks 24 chain frames, 4 trident frames\n"
     payload = json.loads(out)
     assert payload["config"]["command"] == "exact"
     assert payload["config"]["size"] == 4
@@ -71,6 +73,27 @@ def test_exact_csv_matches_json(capsys):
         ref = json_rows[int(row["class_id"])]
         assert int(row["canonical_code"]) == ref["canonical_code"]
         assert int(row["count"]) == ref["count"]
+
+
+def test_exact_reports_frame_totals_before_the_walk(capsys, monkeypatch):
+    def interrupted(g, size):
+        raise RuntimeError("walk started")
+    monkeypatch.setattr(cli, "exact_census", interrupted)
+    with pytest.raises(RuntimeError, match="walk started"):
+        main(["exact", "-i", str(data_path("k4.txt")), "--size", "3"])
+    assert capsys.readouterr().err == "exact census walks 12 fork frames\n"
+    monkeypatch.undo()
+
+    _, json_out, _ = run_cli(capsys, "exact", "-i",
+                             str(data_path("path3.txt")), "--size", "4")
+    assert json.loads(json_out)["frame_totals"] == {"chain": 1, "trident": 0}
+    _, csv_out, err = run_cli(capsys, "exact", "-i",
+                              str(data_path("path3.txt")), "--size", "4",
+                              "--format", "csv")
+    comments, _ = parse_csv(csv_out)
+    assert comments["frame_total_chain"] == "1"
+    assert comments["frame_total_trident"] == "0"
+    assert err == "exact census walks 1 chain frames, 0 trident frames\n"
 
 
 def test_frames_report(capsys):

@@ -309,13 +309,14 @@ def test_streams_are_built_only_where_they_draw(monkeypatch):
 
 # (chain degenerate, {class_id: (chain, trident) detections}) of one seeded
 # run per worker count, recorded with SeedSequence(seed).spawn(workers)
-# and then .spawn(n_kinds) per worker; the seeded stream layout must not
+# and then .spawn(n_kinds) per worker, each draw unranking one uniform
+# integer rank per frame; neither the stream layout nor the unranking may
 # drift, so earlier reports stay reproducible
 SEEDED_RUNS = {
-    1: (107, {3: (0, 423), 6: (449, 0), 7: (331, 617), 8: (168, 0),
-              9: (151, 169), 10: (44, 42)}),
-    3: (119, {3: (0, 392), 6: (495, 0), 7: (316, 598), 8: (130, 0),
-              9: (148, 224), 10: (42, 37)}),
+    1: (100, {3: (0, 417), 6: (479, 0), 7: (332, 602), 8: (149, 0),
+              9: (156, 187), 10: (34, 45)}),
+    3: (106, {3: (0, 406), 6: (483, 0), 7: (307, 603), 8: (154, 0),
+              9: (157, 202), 10: (43, 40)}),
 }
 
 

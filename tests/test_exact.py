@@ -5,7 +5,8 @@ import pytest
 
 from motifcensus import (FrameKind, Graph, arrcode_table, exact,
                          exact_census, frame_totals, koef_table, loads_graph)
-from motifcensus.exact import _FLUSH, _frame_batches
+from motifcensus.exact import _FLUSH
+from motifcensus.frames import FrameSet
 from oracles import (brute_force_census, common_neighbor_pairs, frame_keys,
                      frames_brute, random_graph)
 
@@ -82,12 +83,9 @@ def test_frame_handshakes():
 
 
 def _walk(g, kind):
-    batches = list(_frame_batches(g, kind))
-    if not batches:
-        return (np.empty((kind.size, 0), dtype=np.int64),
-                np.empty(0, dtype=bool))
-    return (np.concatenate([b.vertices for b in batches], axis=1),
-            np.concatenate([b.degenerate for b in batches]))
+    frames = FrameSet(g, kind)
+    batch = frames.unrank(np.arange(frames.total, dtype=np.int64))
+    return batch.vertices, batch.degenerate
 
 
 def test_frame_walk_matches_the_loop_oracle():

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy import stats
 from motifcensus import (FrameKind, arrcode_table, frame_sampler,
                          frame_totals, koef_table, loads_graph,
                          kinds_for_size, pair_slots)
-from motifcensus.frames import ChainSampler, TridentSampler
+from motifcensus.frames import FrameSet, _choose2, _choose3, _colex_triple
 from oracles import (frame_keys, frames_brute, neighbor_sets, random_graph,
                      spanning_path_count)
 
@@ -57,7 +58,7 @@ def test_enumerated_instances_are_unique():
 
 
 def _degrees_only(degrees):
-    # just what the totals and the vertex-weighted samplers read
+    # just what the totals and the center-weighted frame sets read
     k = np.array(degrees, dtype=np.int64)
     none = np.empty(0, dtype=np.int64)
     return SimpleNamespace(degrees=k, edge_u=none, edge_v=none)
@@ -69,13 +70,14 @@ def test_totals_and_weights_do_not_wrap():
     hub = k * (k - 1) * (k - 2) // 6
     assert hub == 4_499_995_500_001_000_000
     assert frame_totals(_degrees_only([k])).n_trident == hub
-    assert TridentSampler(_degrees_only([k])).total == hub
+    assert FrameSet(_degrees_only([k]), FrameKind.TRIDENT).total == hub
     three = _degrees_only([k] * 3)
     assert frame_totals(three).n_trident == 3 * hub  # past 2**63, exact
     with pytest.raises(ValueError, match="64-bit"):
-        TridentSampler(three)
+        FrameSet(three, FrameKind.TRIDENT)
     with pytest.raises(ValueError, match="64-bit"):
-        TridentSampler(_degrees_only([5_000_000]))  # one C(k, 3) > 2**63
+        # one C(k, 3) > 2**63
+        FrameSet(_degrees_only([5_000_000]), FrameKind.TRIDENT)
 
 
 def test_chain_totals_do_not_wrap():
@@ -85,7 +87,32 @@ def test_chain_totals_do_not_wrap():
                         edge_v=np.arange(1, 8, 2))
     assert frame_totals(g).n_chain == 4 * (3_000_000_000 - 1) ** 2
     with pytest.raises(ValueError, match="64-bit"):
-        ChainSampler(g)
+        FrameSet(g, FrameKind.CHAIN)
+
+
+def test_colex_helpers_do_not_wrap():
+    # x (x - 1) (x - 2) wraps int64 past x ~ 2.1e6; C(x, 3) itself fits
+    # up to x ~ 3.8e6, the largest degree a trident total can hold
+    x = np.array([0, 1, 2, 3, 4, 5, 2_097_152, 2_097_153, 3_000_000,
+                  3_800_000], dtype=np.int64)
+    assert _choose3(x).tolist() == [math.comb(v, 3) for v in x.tolist()]
+    assert _choose2(x).tolist() == [math.comb(v, 2) for v in x.tolist()]
+
+
+def test_triple_decode_at_every_boundary():
+    # rank C(x, 3) opens the block of triples topped by position x, and
+    # C(x, 3) - 1 closes the block below; the float cube root must land
+    # on the right top position at every one of them
+    for start in range(3, 3_800_001, 400_000):
+        x = np.arange(start, min(start + 400_000, 3_800_001),
+                      dtype=np.int64)
+        first = _choose3(x)
+        for r, top in ((first, x), (first - 1, x - 1)):
+            lo, mid, hi = _colex_triple(r)
+            assert np.array_equal(hi, top)
+            assert np.array_equal(
+                _choose3(hi) + _choose2(mid) + lo, r)
+            assert ((0 <= lo) & (lo < mid) & (mid < hi)).all()
 
 
 def test_samplers_refuse_empty_frame_sets():
@@ -134,6 +161,19 @@ def test_chain_on_path3_is_the_single_path(path3):
     assert not degenerate
     assert frame_keys(path3, FrameKind.CHAIN, verts).tolist() == \
         frame_keys(path3, FrameKind.CHAIN, [0, 1, 2, 3]).tolist()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_draw_unranks_uniform_ranks(kind):
+    # a draw of n frames consumes exactly n uniform integer ranks
+    g = random_graph(np.random.default_rng(36), 14, 0.4, directed=False)
+    frames = frame_sampler(g, kind)
+    drawn = frames.sample_batch(np.random.default_rng(7), 500)
+    ranks = np.random.default_rng(7).integers(0, frames.total, size=500,
+                                              dtype=np.int64)
+    unranked = frames.unrank(ranks)
+    assert np.array_equal(drawn.vertices, unranked.vertices)
+    assert np.array_equal(drawn.degenerate, unranked.degenerate)
 
 
 def test_sampling_is_deterministic(k4):
