@@ -136,9 +136,3 @@ def build_arrcode(size: int, directed: bool) -> ArrcodeTable:
 def arrcode_table(size: int, directed: bool) -> ArrcodeTable:
     """Cached accessor; build_arrcode does the actual work."""
     return build_arrcode(size, directed)
-
-
-def class_counts(size: int, directed: bool) -> tuple[int, int]:
-    """(total classes, weakly connected classes) for one family."""
-    table = arrcode_table(size, directed)
-    return table.n_classes, table.n_connected

@@ -19,7 +19,7 @@ from .canon import arrcode_table
 from .estimator import DEFAULT_BATCH_SIZE, run_sampled_census
 from .exact import exact_census
 from .frames import frame_totals, kinds_for_size, koef_table
-from .graphs import EdgeListError, load_graph
+from .graphs import load_graph
 
 DEFAULT_SEED = 1729
 
@@ -236,9 +236,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EdgeListError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -269,9 +269,9 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     accs = {k: SampleAccumulator.empty(k, table.n_classes) for k in active}
     samplers = {k: frame_sampler(g, k) for k in active}
 
-    remaining: dict[FrameKind, int | None] = {}
+    # experiments left per kind; a target-CV run without a budget has no end
     if budget is None:
-        remaining = {k: None for k in active}
+        remaining = dict.fromkeys(active, math.inf)
     elif len(active) == 1:
         remaining = {active[0]: budget}
     else:
@@ -296,36 +296,28 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     while True:
         drew_any = False
         for kind in active:
-            rem = remaining[kind]
-            chunk = batch_size if rem is None else min(batch_size, rem)
+            chunk = min(batch_size, remaining[kind])
             if chunk <= 0:
                 continue
             drew_any = True
+            remaining[kind] -= chunk
             base, extra = divmod(chunk, workers)
             acc = accs[kind]
             for w in range(min(workers, chunk)):
                 m = base + (1 if w < extra else 0)
                 batch = samplers[kind].sample_batch(stream(kind, w), m)
                 acc.n_experiments += m
-                keep = ~batch.degenerate
-                if keep.any():
-                    codes = induced_subgraph_codes(g, batch.vertices[:, keep])
-                    ids = table.entries[codes]
-                    acc.detections += np.bincount(ids,
-                                                  minlength=table.n_classes)
-            if rem is not None:
-                remaining[kind] = rem - chunk
+                codes = induced_subgraph_codes(
+                    g, batch.vertices[:, ~batch.degenerate])
+                acc.detections += np.bincount(table.entries[codes],
+                                              minlength=table.n_classes)
         if not drew_any:
-            stop_reason = "budget"
             break
         if target_cv is not None:
             rows = _build_estimates(size, table, koefs, totals, accs)
             if _target_met(rows, accs, target_cv):
                 stop_reason = "target_cv"
                 break
-        if budget is not None and all(remaining[k] <= 0 for k in active):
-            stop_reason = "budget"
-            break
 
     rows = _build_estimates(size, table, koefs, totals, accs)
 

@@ -42,14 +42,6 @@ class ExactCensus:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "directed": self.directed,
-            "counts": {str(cid): c for cid, c in self.counts.items()},
-            "elapsed": self.elapsed,
-        }
-
 
 def exact_census(g: Graph, size: int) -> ExactCensus:
     """Count every connected motif class of one size exactly."""

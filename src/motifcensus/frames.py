@@ -14,9 +14,9 @@ when both coincide the frame is degenerate: a sampled one still consumes
 one experiment but cannot detect any motif.
 
 Frames live on the undirected view; directed graphs are classified
-afterwards from their arcs.  Containment coefficients (how many frame
-instances live inside one motif instance) are likewise computed on the
-motif's undirected view.
+afterwards from their arcs.  Containment coefficients (how many frames of
+a kind lie inside one motif instance) are counted by the same ranking, run
+on one graph that holds every class representative (see koef_table).
 """
 
 from __future__ import annotations
@@ -237,46 +237,6 @@ def frame_sampler(g: Graph, kind: FrameKind) -> FrameSet:
 # -- containment coefficients ---------------------------------------------
 
 
-def _undirected_view(code: int, size: int, directed: bool) -> list[set]:
-    adj: list[set] = [set() for _ in range(size)]
-    for s, (i, j) in enumerate(pair_slots(size, directed)):
-        if code >> s & 1:
-            adj[i].add(j)
-            adj[j].add(i)
-    return adj
-
-
-def _count_forks(adj: list[set]) -> int:
-    return sum(len(adj[c]) * (len(adj[c]) - 1) // 2 for c in range(len(adj)))
-
-
-def _count_tridents(adj: list[set]) -> int:
-    total = 0
-    for c in range(len(adj)):
-        d = len(adj[c])
-        total += d * (d - 1) * (d - 2) // 6
-    return total
-
-
-def _count_chains(adj: list[set]) -> int:
-    # 3-edge paths on 4 distinct vertices, each counted once per middle edge
-    total = 0
-    for i in range(len(adj)):
-        for j in adj[i]:
-            if j <= i:
-                continue
-            for a in adj[i] - {j}:
-                for b in adj[j] - {i}:
-                    if a != b:
-                        total += 1
-    return total
-
-
-_FRAME_COUNTERS = {FrameKind.FORK: _count_forks,
-                   FrameKind.TRIDENT: _count_tridents,
-                   FrameKind.CHAIN: _count_chains}
-
-
 @dataclass(frozen=True)
 class KoefTable:
     """Frame instances contained in one motif instance, per class."""
@@ -307,14 +267,28 @@ class KoefTable:
 
 @lru_cache(maxsize=None)
 def koef_table(size: int, directed: bool = False) -> KoefTable:
-    """Enumerate frames inside each class representative."""
+    """Frames of each kind inside each class representative.
+
+    One graph holds every representative as its own component, class c on
+    vertices size * c .. size * c + size - 1.  Every frame lies inside one
+    component and a non-degenerate one spans it, so unranking all frames
+    and tallying them by component counts each class's frames.  No frame
+    is classified, so the exact census's whole-multiple check still tests
+    the classifier against an independent count.
+    """
     table = arrcode_table(size, directed)
+    slots = pair_slots(size, directed)
+    pairs = [(size * c + i, size * c + j)
+             for c, cls in enumerate(table.classes)
+             for s, (i, j) in enumerate(slots)
+             if cls.canonical_code >> s & 1]
+    reps = Graph.from_edges(size * table.n_classes, pairs, directed)
     counts = {}
     for kind in kinds_for_size(size):
-        counter = _FRAME_COUNTERS[kind]
-        vals = np.array(
-            [counter(_undirected_view(c.canonical_code, size, directed))
-             for c in table.classes], dtype=np.int64)
+        frames = FrameSet(reps, kind)
+        batch = frames.unrank(np.arange(frames.total, dtype=np.int64))
+        vals = np.bincount(batch.vertices[0, ~batch.degenerate] // size,
+                           minlength=table.n_classes)
         vals.setflags(write=False)
         counts[kind] = vals
     return KoefTable(size, directed, MappingProxyType(counts))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from motifcensus import (FrameKind, MotifEstimate, SampleAccumulator,
-                         arrcode_table, exact_census, frame_totals,
+                         arrcode_table, estimator, exact_census,
+                         frame_sampler, frame_totals, kinds_for_size,
                          koef_table, loads_graph, mixed_estimate,
                          optimal_lambda, run_sampled_census, single_estimate)
 from oracles import random_graph
@@ -305,6 +306,39 @@ def test_streams_are_built_only_where_they_draw(monkeypatch):
     assert report.experiments["chain"]["n_experiments"] == 500
     assert report.experiments["trident"]["n_experiments"] == 500
     assert len(made) == 2 * 100
+
+
+@pytest.mark.parametrize("size,directed", [(3, True), (4, False)])
+def test_traced_entry_points_see_every_frame(monkeypatch, size, directed):
+    # a per-layer trace wraps estimator.induced_subgraph_codes and the
+    # sample_batch of each sampler in frame_sampler's per-graph cache; a
+    # census that went round either would read zero in those layers
+    g = random_graph(np.random.default_rng(62), 20, 0.3, directed)
+    classified = []
+    real_codes = estimator.induced_subgraph_codes
+
+    def codes(graph, vertices):
+        classified.append(vertices.shape[1])
+        return real_codes(graph, vertices)
+    monkeypatch.setattr(estimator, "induced_subgraph_codes", codes)
+    drawn = dict.fromkeys(kinds_for_size(size), 0)
+    for kind in drawn:
+        sampler = frame_sampler(g, kind)
+
+        def draw(rng, m, kind=kind, real=sampler.sample_batch):
+            drawn[kind] += m
+            return real(rng, m)
+        sampler.sample_batch = draw
+    report = run_sampled_census(g, size, budget=3_001, seed=5, workers=3,
+                                batch_size=400)
+    spent = {FrameKind(k): e["n_experiments"]
+             for k, e in report.experiments.items()}
+    assert drawn == {k: spent[k] for k in drawn}
+    assert all(drawn.values())
+    degenerate = sum(e.get("degenerate", 0)
+                     for e in report.experiments.values())
+    assert sum(classified) == sum(drawn.values()) - degenerate
+    assert degenerate > 0 or size == 3
 
 
 # (chain degenerate, {class_id: (chain, trident) detections}) of one seeded

@@ -169,6 +169,26 @@ def test_inconsistent_hits_raise(monkeypatch):
         exact_census(g, 4)
 
 
+def test_traced_classification_sees_every_frame(monkeypatch):
+    # a per-layer trace wraps exact.induced_subgraph_codes: every
+    # non-degenerate frame of the walk must pass through it
+    g = random_graph(np.random.default_rng(63), 25, 0.25, directed=False)
+    classified = []
+    real_codes = exact.induced_subgraph_codes
+
+    def codes(graph, vertices):
+        classified.append(vertices.shape[1])
+        return real_codes(graph, vertices)
+    monkeypatch.setattr(exact, "induced_subgraph_codes", codes)
+    totals = frame_totals(g)
+    exact_census(g, 3)
+    assert sum(classified) == totals.n_fork
+    classified.clear()
+    exact_census(g, 4)
+    assert sum(classified) == (totals.n_chain - common_neighbor_pairs(g)
+                               + totals.n_trident)
+
+
 def test_census_size_validation(k4):
     with pytest.raises(ValueError):
         exact_census(k4, 5)

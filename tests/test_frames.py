@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from motifcensus import (FrameKind, arrcode_table, frame_sampler,
+from motifcensus import (FrameKind, Graph, arrcode_table, frame_sampler,
                          frame_totals, koef_table, loads_graph,
                          kinds_for_size, pair_slots)
 from motifcensus.frames import FrameSet, _choose2, _choose3, _colex_triple
@@ -284,6 +284,22 @@ def test_koef_chain_matches_spanning_path_oracle():
                 adj[j].add(i)
         assert kt.koef(cls.class_id, FrameKind.CHAIN) == \
             spanning_path_count(adj)
+
+
+@pytest.mark.parametrize("size,directed",
+                         [(3, False), (3, True), (4, False), (4, True)])
+def test_koef_matches_the_frame_loop_oracle(size, directed):
+    # frames of a class's representative, enumerated by plain loops on its
+    # undirected view; degenerate chains lie in no 4-vertex instance
+    kt = koef_table(size, directed)
+    for cls in arrcode_table(size, directed).classes:
+        pairs = [p for s, p in enumerate(pair_slots(size, directed))
+                 if cls.canonical_code >> s & 1]
+        rep = Graph.from_edges(size, pairs, directed=False)
+        for kind in kinds_for_size(size):
+            spanning = sum(1 for _, degenerate in frames_brute(rep, kind)
+                           if not degenerate)
+            assert kt.koef(cls.class_id, kind) == spanning
 
 
 def test_directed_koef_follows_undirected_view():
