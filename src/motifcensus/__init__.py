@@ -2,9 +2,7 @@
 subgraph classes in directed and undirected graphs."""
 
 from .canon import ArrcodeTable, MotifClass, arrcode_table, build_arrcode
-from .estimator import (CensusReport, MotifEstimate, SampleAccumulator,
-                        mixed_estimate, optimal_lambda, run_sampled_census,
-                        single_estimate)
+from .estimator import CensusReport, optimal_lambda, run_sampled_census
 from .exact import ExactCensus, exact_census
 from .frames import (FrameBatch, FrameKind, FrameTotals, KoefTable,
                      frame_sampler, frame_totals, kinds_for_size, koef_table)
@@ -17,10 +15,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrcodeTable", "CensusReport", "EdgeListError", "ExactCensus",
     "FrameBatch", "FrameKind", "FrameTotals", "Graph", "KoefTable",
-    "LoadReport", "MotifClass", "MotifEstimate", "SampleAccumulator",
-    "arrcode_table", "build_arrcode", "dumps_graph", "exact_census",
-    "frame_sampler", "frame_totals", "induced_subgraph_codes",
-    "kinds_for_size", "koef_table", "load_graph", "loads_graph",
-    "mixed_estimate", "optimal_lambda", "pair_slots", "run_sampled_census",
-    "single_estimate",
+    "LoadReport", "MotifClass", "arrcode_table", "build_arrcode",
+    "dumps_graph", "exact_census", "frame_sampler", "frame_totals",
+    "induced_subgraph_codes", "kinds_for_size", "koef_table", "load_graph",
+    "loads_graph", "optimal_lambda", "pair_slots", "run_sampled_census",
 ]

@@ -54,7 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="total experiment budget")
     p_sample.add_argument("--target-cv", type=float, default=None,
                           help="stop once well-observed classes reach this "
-                               "coefficient of variation")
+                               "coefficient of variation; without --samples, "
+                               "each frame kind draws at most its frame "
+                               "total and a target unmet there fails")
     p_sample.add_argument("--seed", type=int, default=DEFAULT_SEED,
                           help=f"RNG seed (default {DEFAULT_SEED})")
     p_sample.add_argument("--workers", type=int, default=1,

@@ -15,7 +15,8 @@ D(lam) = (1 - lam)^2 D_A + lam^2 D_B, and
     lam = n_B * D_A / (n_A * D_B + n_B * D_A), clamped to [0, 1]
 
 minimizes the squared coefficient of variation D(lam) / n(lam)^2 under the
-observed plug-in values.
+observed plug-in values.  Every class is estimated at once, in arrays over
+the class table.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canon import ArrcodeTable, arrcode_table
+from .canon import arrcode_table
 from .frames import (FrameKind, FrameTotals, KoefTable, frame_sampler,
                      frame_totals, kinds_for_size, koef_table)
 from .graphs import Graph, induced_subgraph_codes
@@ -37,100 +38,26 @@ DEFAULT_BATCH_SIZE = 10_000
 MIN_DETECTIONS_FOR_CV = 5
 
 
-@dataclass
-class SampleAccumulator:
-    """Tally of one sampling experiment; merging sums component-wise."""
-
-    frame_kind: FrameKind
-    n_experiments: int
-    detections: np.ndarray
-
-    @classmethod
-    def empty(cls, kind: FrameKind, n_classes: int) -> "SampleAccumulator":
-        return cls(FrameKind(kind), 0, np.zeros(n_classes, dtype=np.int64))
-
-    @property
-    def degenerate(self) -> int:
-        """Experiments that detected nothing (closed chains)."""
-        return self.n_experiments - int(self.detections.sum())
-
-    def merge(self, other: "SampleAccumulator") -> "SampleAccumulator":
-        if other.frame_kind is not self.frame_kind:
-            raise ValueError("cannot merge tallies of different frame kinds")
-        if other.detections.size != self.detections.size:
-            raise ValueError("cannot merge tallies over different tables")
-        return SampleAccumulator(self.frame_kind,
-                                 self.n_experiments + other.n_experiments,
-                                 self.detections + other.detections)
-
-
-@dataclass(frozen=True)
-class MotifEstimate:
-    class_id: int
-    n_hat: float
-    variance: float
-    cv: float | None
-    lam: float | None = None
-    sources: tuple[FrameKind, ...] = ()
-
-
-def _cv(n_hat: float, variance: float) -> float | None:
-    if n_hat <= 0:
-        return None
-    return math.sqrt(variance) / n_hat
-
-
-def single_estimate(acc: SampleAccumulator, totals: FrameTotals,
-                    koefs: KoefTable, class_id: int) -> MotifEstimate:
-    """Estimate one class from one experiment's tally."""
-    kind = acc.frame_kind
-    n_f = totals.for_kind(kind)
-    k = koefs.koef(class_id, kind)
-    if k == 0:
-        raise ValueError(
-            f"{kind.value} frames cannot detect class {class_id}")
-    if acc.n_experiments == 0:
-        raise ValueError("no experiments recorded")
-    c = int(acc.detections[class_id])
-    scale = n_f / (k * acc.n_experiments)
-    n_hat = c * scale
-    variance = scale * scale * c * (1.0 - c / acc.n_experiments)
-    return MotifEstimate(class_id, float(n_hat), float(variance),
-                         _cv(n_hat, variance), sources=(kind,))
-
-
-def optimal_lambda(n_a: float, d_a: float, n_b: float, d_b: float) -> float:
-    """Mixing weight minimizing the squared CV of the mixture.
+def optimal_lambda(n_a, d_a, n_b, d_b):
+    """Mixing weight minimizing the squared CV of the mixture, element-wise.
 
     When the denominator vanishes the objective is flat in lam; ties break
     to 1/2, and a side that detected nothing (zero count, zero variance)
     gets no weight since the other side carries all the information.
+    Scalars give a float, arrays an array.
     """
-    if min(n_a, d_a, n_b, d_b) < 0:
+    stacked = np.array(np.broadcast_arrays(n_a, d_a, n_b, d_b), dtype=float)
+    if (stacked < 0).any():
         raise ValueError("counts and variances must be nonnegative")
-    if n_a == 0 and n_b == 0:
+    n_a, d_a, n_b, d_b = stacked
+    if ((n_a == 0) & (n_b == 0)).any():
         raise ValueError("both experiments report zero; nothing to weight")
     denom = n_a * d_b + n_b * d_a
-    if denom == 0:
-        if n_a == 0:
-            return 1.0
-        if n_b == 0:
-            return 0.0
-        return 0.5
-    return min(1.0, max(0.0, n_b * d_a / denom))
-
-
-def mixed_estimate(est_a: MotifEstimate, est_b: MotifEstimate) -> MotifEstimate:
-    """Variance-optimal convex combination of two independent estimates."""
-    if est_a.class_id != est_b.class_id:
-        raise ValueError("estimates describe different classes")
-    lam = optimal_lambda(est_a.n_hat, est_a.variance,
-                         est_b.n_hat, est_b.variance)
-    n_hat = est_a.n_hat + lam * (est_b.n_hat - est_a.n_hat)
-    variance = (1.0 - lam) ** 2 * est_a.variance + lam ** 2 * est_b.variance
-    return MotifEstimate(est_a.class_id, float(n_hat), float(variance),
-                         _cv(n_hat, variance), lam=lam,
-                         sources=est_a.sources + est_b.sources)
+    flat = denom == 0
+    tie = np.where(n_a == 0, 1.0, np.where(n_b == 0, 0.0, 0.5))
+    lam = np.where(flat, tie, np.clip(
+        n_b * d_a / np.where(flat, 1.0, denom), 0.0, 1.0))
+    return float(lam) if lam.ndim == 0 else lam
 
 
 @dataclass
@@ -176,48 +103,54 @@ class CensusReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
 
-def _build_estimates(size: int, table: ArrcodeTable, koefs: KoefTable,
-                     totals: FrameTotals, accs: dict) -> list[MotifEstimate]:
-    """Per connected class, combine whatever experiments can see it."""
-    rows = []
-    kinds = kinds_for_size(size)
-    for cls in table.classes:
-        if not cls.connected:
-            continue
-        parts = []
-        for kind in kinds:
-            if koefs.koef(cls.class_id, kind) == 0:
-                continue
-            if totals.for_kind(kind) == 0:
-                # no frames of a kind that must span every instance:
-                # the exact count is zero
-                parts.append(MotifEstimate(cls.class_id, 0.0, 0.0, None,
-                                           sources=(kind,)))
-            elif kind in accs and accs[kind].n_experiments > 0:
-                parts.append(single_estimate(accs[kind], totals, koefs,
-                                             cls.class_id))
-        if not parts:
-            continue
-        if len(parts) == 1:
-            rows.append(parts[0])
-            continue
-        a, b = parts
-        if a.n_hat == 0 and b.n_hat == 0:
-            rows.append(MotifEstimate(cls.class_id, 0.0, 0.0, None,
-                                      sources=a.sources + b.sources))
-        else:
-            rows.append(mixed_estimate(a, b))
-    return rows
+def _build_estimates(koefs: KoefTable, totals: FrameTotals, n: dict,
+                     hits: dict) -> tuple:
+    """Estimates of every class at once from the per-kind tallies: n[kind]
+    experiments and the detection array hits[kind].
+
+    Returns per-class arrays (n_hat, variance, cv, lam, parts).  parts has
+    one row per kind of koefs.kinds and marks the classes that kind
+    estimates: those it spans (koef > 0, so connected ones only), once it
+    has experiments, or at once when the graph has no frames of the kind,
+    since the count is then exactly zero.  A class no kind estimates is
+    not reported.  cv is NaN where n_hat is 0; lam is NaN unless both
+    kinds estimate the class and one of them is nonzero.
+    """
+    kinds = koefs.kinds
+    shape = (len(kinds), len(hits[kinds[0]]))
+    n_hat, var = np.zeros(shape), np.zeros(shape)
+    parts = np.zeros(shape, dtype=bool)
+    for i, kind in enumerate(kinds):
+        koef, n_f, n_k = koefs.counts[kind], totals.for_kind(kind), n[kind]
+        if n_f == 0 or n_k > 0:
+            parts[i] = koef > 0
+        if n_f > 0 and n_k > 0:
+            # n_f / (koef * n_k) rounded once from Python ints, per koef
+            scale = np.array([n_f / (k * n_k) if k else 0.0
+                              for k in range(int(koef.max()) + 1)])[koef]
+            c = hits[kind]
+            n_hat[i] = c * scale
+            var[i] = scale * scale * c * (1.0 - c / n_k)
+    # outside the mixture at most one kind's estimate is nonzero
+    est, variance = n_hat.sum(axis=0), var.sum(axis=0)
+    lam = np.full(est.shape, np.nan)
+    if len(kinds) == 2:
+        mix = parts.all(axis=0) & (n_hat != 0).any(axis=0)
+        (n_a, n_b), (d_a, d_b) = n_hat[:, mix], var[:, mix]
+        w = optimal_lambda(n_a, d_a, n_b, d_b)
+        lam[mix] = w
+        est[mix] = n_a + w * (n_b - n_a)
+        variance[mix] = (1.0 - w) ** 2 * d_a + w ** 2 * d_b
+    cv = np.divide(np.sqrt(variance), est, out=np.full(est.shape, np.nan),
+                   where=est > 0)
+    return est, variance, cv, lam, parts
 
 
-def _target_met(rows: list[MotifEstimate], accs: dict, target: float) -> bool:
-    for est in rows:
-        c_max = max((int(accs[k].detections[est.class_id])
-                     for k in accs), default=0)
-        if c_max >= MIN_DETECTIONS_FOR_CV:
-            if est.cv is None or est.cv > target:
-                return False
-    return True
+def _target_met(cv: np.ndarray, hits: dict, target: float) -> bool:
+    """Every class some kind detected MIN_DETECTIONS_FOR_CV times or more
+    has a cv at or below target (a NaN cv is above it)."""
+    tracked = np.maximum.reduce(list(hits.values())) >= MIN_DETECTIONS_FOR_CV
+    return bool((cv[tracked] <= target).all())
 
 
 def run_sampled_census(g: Graph, size: int, budget: int | None = None,
@@ -234,7 +167,9 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
             it is split chain/trident by chain_share.  May be omitted when
             target_cv is given.
         target_cv: stop early once every class detected at least 5 times
-            has cv at or below this value.
+            has cv at or below this value.  Without a budget, each kind
+            draws at most its frame total; a target still unmet there
+            raises ValueError.
         seed: root seed; runs are reproducible given the same seed,
             workers and batch_size.
         workers: number of independent sample streams, merged
@@ -266,12 +201,15 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
         raise ValueError(f"graph has no size-{size} frames to sample")
     table = arrcode_table(size, g.directed)
     koefs = koef_table(size, g.directed)
-    accs = {k: SampleAccumulator.empty(k, table.n_classes) for k in active}
     samplers = {k: frame_sampler(g, k) for k in active}
+    # the tally: experiments and per-class detections, per kind
+    n = dict.fromkeys(kinds, 0)
+    hits = {k: np.zeros(table.n_classes, dtype=np.int64) for k in kinds}
 
-    # experiments left per kind; a target-CV run without a budget has no end
+    # experiments left per kind; without a budget a kind stops at its frame
+    # total, where an exact census costs no more
     if budget is None:
-        remaining = dict.fromkeys(active, math.inf)
+        remaining = {k: totals.for_kind(k) for k in active}
     elif len(active) == 1:
         remaining = {active[0]: budget}
     else:
@@ -302,55 +240,48 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
             drew_any = True
             remaining[kind] -= chunk
             base, extra = divmod(chunk, workers)
-            acc = accs[kind]
             for w in range(min(workers, chunk)):
                 m = base + (1 if w < extra else 0)
                 batch = samplers[kind].sample_batch(stream(kind, w), m)
-                acc.n_experiments += m
+                n[kind] += m
                 codes = induced_subgraph_codes(
                     g, batch.vertices[:, ~batch.degenerate])
-                acc.detections += np.bincount(table.entries[codes],
-                                              minlength=table.n_classes)
+                hits[kind] += np.bincount(table.entries[codes],
+                                          minlength=table.n_classes)
         if not drew_any:
             break
         if target_cv is not None:
-            rows = _build_estimates(size, table, koefs, totals, accs)
-            if _target_met(rows, accs, target_cv):
+            cv = _build_estimates(koefs, totals, n, hits)[2]
+            if _target_met(cv, hits, target_cv):
                 stop_reason = "target_cv"
                 break
+    if budget is None and stop_reason == "budget":
+        raise ValueError(
+            f"target CV {target_cv} not reached after {sum(n.values())} "
+            f"experiments, as many as the graph has frames; count exactly "
+            f"instead (motif-census exact)")
 
-    rows = _build_estimates(size, table, koefs, totals, accs)
-
+    n_hat, variance, cv, lam, parts = _build_estimates(koefs, totals, n, hits)
     experiments = {}
     for kind in kinds:
-        acc = accs.get(kind)
-        entry = {"n_experiments": acc.n_experiments if acc else 0,
+        entry = {"n_experiments": n[kind],
                  "frame_total": totals.for_kind(kind)}
         if kind is FrameKind.CHAIN:
-            entry["degenerate"] = acc.degenerate if acc else 0
+            entry["degenerate"] = n[kind] - int(hits[kind].sum())
         experiments[kind.value] = entry
 
-    motifs = []
-    for est in rows:
-        cls = table.classes[est.class_id]
-        detections = {}
-        koef_row = {}
-        for kind in kinds:
-            koef_row[kind.value] = koefs.koef(est.class_id, kind)
-            acc = accs.get(kind)
-            detections[kind.value] = (int(acc.detections[est.class_id])
-                                      if acc else 0)
-        motifs.append({
-            "class_id": est.class_id,
-            "canonical_code": cls.canonical_code,
-            "n_hat": est.n_hat,
-            "variance": est.variance,
-            "cv": est.cv,
-            "lambda": est.lam,
-            "sources": [k.value for k in est.sources],
-            "detections": detections,
-            "koef": koef_row,
-        })
+    n_hat, variance, cv, lam = (a.tolist() for a in (n_hat, variance, cv, lam))
+    motifs = [{
+        "class_id": cid,
+        "canonical_code": table.classes[cid].canonical_code,
+        "n_hat": n_hat[cid],
+        "variance": variance[cid],
+        "cv": None if math.isnan(cv[cid]) else cv[cid],
+        "lambda": None if math.isnan(lam[cid]) else lam[cid],
+        "sources": [k.value for k, p in zip(kinds, parts[:, cid]) if p],
+        "detections": {k.value: int(hits[k][cid]) for k in kinds},
+        "koef": {k.value: int(koefs.counts[k][cid]) for k in kinds},
+    } for cid in np.flatnonzero(parts.any(axis=0)).tolist()]
 
     return CensusReport(
         size=size, directed=g.directed, seed=seed, workers=workers,

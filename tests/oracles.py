@@ -2,16 +2,19 @@
 
 Nothing here reuses the package's enumeration or classification logic:
 adjacency, pair codes, frames, connectivity and counting are rebuilt from
-the raw edge and arc arrays the straightforward way.  Only the class
-tables come from the package, to name the classes.
+the raw edge and arc arrays the straightforward way, and estimates one
+class at a time from a report's tallies.  Only the class and containment
+tables come from the package, to name the classes and weigh their frames.
 """
 
+import math
 from itertools import combinations, permutations
 
 import networkx as nx
 import numpy as np
 
-from motifcensus import FrameKind, Graph, arrcode_table, pair_slots
+from motifcensus import (FrameKind, Graph, arrcode_table, kinds_for_size,
+                         koef_table, pair_slots)
 
 
 def to_nx(g: Graph):
@@ -173,3 +176,72 @@ def common_neighbor_pairs(g: Graph) -> int:
     adj = neighbor_sets(g)
     return sum(len(adj[int(u)] & adj[int(v)])
                for u, v in zip(g.edge_u, g.edge_v))
+
+
+def single_estimate(c: int, n: int, n_f: int, koef: int) -> tuple:
+    """(n_hat, variance) of one class from one kind's tally: c detections
+    in n experiments, n_f frames in the graph, koef frames per instance."""
+    scale = n_f / (koef * n)
+    return c * scale, scale * scale * c * (1.0 - c / n)
+
+
+def mixed_estimate(a: tuple, b: tuple) -> tuple:
+    """(n_hat, variance, lam) of the convex mixture a + lam (b - a) of two
+    independent (n_hat, variance) estimates with the least squared CV."""
+    (n_a, d_a), (n_b, d_b) = a, b
+    denom = n_a * d_b + n_b * d_a
+    if denom == 0:
+        lam = 1.0 if n_a == 0 else 0.0 if n_b == 0 else 0.5
+    else:
+        lam = min(1.0, max(0.0, n_b * d_a / denom))
+    return (n_a + lam * (n_b - n_a),
+            (1.0 - lam) ** 2 * d_a + lam ** 2 * d_b, lam)
+
+
+def estimate_rows(report: dict) -> list:
+    """The rows a sampled report should carry, rebuilt one connected class
+    at a time from its tallies, as {class_id, n_hat, variance, cv, lambda,
+    sources}.
+
+    A kind estimates a class it spans once it has experiments; when the
+    graph has no frames of that kind the class count is exactly 0.  Two
+    estimates mix unless both are 0; lambda is None for one estimate or
+    none mixed.  A class no kind estimates gets no row.
+    """
+    size, directed = report["size"], report["directed"]
+    koefs = koef_table(size, directed)
+    detections = {m["class_id"]: m["detections"] for m in report["motifs"]}
+    rows = []
+    for cls in arrcode_table(size, directed).classes:
+        if not cls.connected:
+            continue
+        parts = []
+        for kind in kinds_for_size(size):
+            koef = koefs.koef(cls.class_id, kind)
+            n_f = report["frame_totals"][kind.value]
+            n = report["experiments"][kind.value]["n_experiments"]
+            if koef == 0:
+                continue
+            if n_f == 0:
+                parts.append((kind, (0.0, 0.0)))
+            elif n > 0:
+                c = detections.get(cls.class_id, {}).get(kind.value, 0)
+                parts.append((kind, single_estimate(c, n, n_f, koef)))
+        if not parts:
+            continue
+        lam = None
+        if len(parts) == 1:
+            n_hat, variance = parts[0][1]
+        elif parts[0][1][0] == 0 and parts[1][1][0] == 0:
+            n_hat, variance = 0.0, 0.0
+        else:
+            n_hat, variance, lam = mixed_estimate(parts[0][1], parts[1][1])
+        rows.append({
+            "class_id": cls.class_id,
+            "n_hat": n_hat,
+            "variance": variance,
+            "cv": math.sqrt(variance) / n_hat if n_hat > 0 else None,
+            "lambda": lam,
+            "sources": [kind.value for kind, _ in parts],
+        })
+    return rows

@@ -2,11 +2,13 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from motifcensus import cli
+from motifcensus import cli, dumps_graph
 from motifcensus.cli import DEFAULT_SEED, build_parser, main
 from conftest import data_path
+from oracles import random_graph
 
 
 def run_cli(capsys, *argv):
@@ -196,6 +198,19 @@ def test_sample_target_cv_reports_reason(capsys):
                            "--samples", "50000")
     payload = json.loads(out)
     assert payload["stop_reason"] == "target_cv"
+
+
+def test_unreachable_target_without_samples_fails(capsys, tmp_path):
+    g = random_graph(np.random.default_rng(19), 30, 0.2, directed=False)
+    graph = tmp_path / "g30.txt"
+    graph.write_text(dumps_graph(g))
+    code, out, err = run_cli(capsys, "sample", "-i", str(graph), "--size",
+                             "3", "--target-cv", "1e-6")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: target CV 1e-06 not reached after 539 "
+                   "experiments, as many as the graph has frames; count "
+                   "exactly instead (motif-census exact)\n")
 
 
 def test_tables_dump(capsys):

@@ -5,56 +5,61 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from motifcensus import (FrameKind, MotifEstimate, SampleAccumulator,
-                         arrcode_table, estimator, exact_census,
-                         frame_sampler, frame_totals, kinds_for_size,
-                         koef_table, loads_graph, mixed_estimate,
-                         optimal_lambda, run_sampled_census, single_estimate)
-from oracles import random_graph
+import motifcensus
+from motifcensus import (FrameKind, FrameTotals, arrcode_table, estimator,
+                         exact_census, frame_sampler, frame_totals,
+                         kinds_for_size, koef_table, loads_graph,
+                         optimal_lambda, run_sampled_census)
+from oracles import estimate_rows, random_graph
 
 
-def _acc(kind, n_classes, n, hits):
-    acc = SampleAccumulator.empty(kind, n_classes)
-    acc.n_experiments = n
-    for cid, c in hits.items():
-        acc.detections[cid] = c
-    return acc
+def _estimates(size, totals, n, hits):
+    """_build_estimates on a crafted tally: n and hits give experiments
+    and {class_id: detections} for the kinds that drew."""
+    kinds = kinds_for_size(size)
+    n_classes = arrcode_table(size, False).n_classes
+    arrays = {k: np.zeros(n_classes, dtype=np.int64) for k in kinds}
+    for kind, by_class in hits.items():
+        for cid, c in by_class.items():
+            arrays[kind][cid] = c
+    return estimator._build_estimates(
+        koef_table(size, False), totals,
+        {k: n.get(k, 0) for k in kinds}, arrays)
 
 
 def test_single_estimate_formula(k3):
-    totals = frame_totals(k3)
-    koefs = koef_table(3, False)
-    table = arrcode_table(3, False)
-    tri = table.classify(0b111)
-    acc = _acc(FrameKind.FORK, table.n_classes, 100, {tri: 40})
-    est = single_estimate(acc, totals, koefs, tri)
+    tri = arrcode_table(3, False).classify(0b111)
+    n_hat, variance, cv, lam, parts = _estimates(
+        3, frame_totals(k3), {FrameKind.FORK: 100},
+        {FrameKind.FORK: {tri: 40}})
     # n_hat = (40/100) * 3 / 3, var = 9/(9*100^2) * 40 * 0.6
-    assert est.n_hat == pytest.approx(0.4)
-    assert est.variance == pytest.approx(40 * 0.6 / 100 ** 2)
-    assert est.cv == pytest.approx(math.sqrt(est.variance) / est.n_hat)
-    assert est.sources == (FrameKind.FORK,)
+    assert n_hat[tri] == pytest.approx(0.4)
+    assert variance[tri] == pytest.approx(40 * 0.6 / 100 ** 2)
+    assert cv[tri] == pytest.approx(math.sqrt(variance[tri]) / n_hat[tri])
+    assert parts[:, tri].tolist() == [True]   # sources: fork
+    assert math.isnan(lam[tri])
 
 
 def test_single_estimate_edge_cases(k3):
     totals = frame_totals(k3)
-    koefs = koef_table(3, False)
     table = arrcode_table(3, False)
     tri = table.classify(0b111)
     path = table.classify(0b011)
 
-    zero = single_estimate(_acc(FrameKind.FORK, 4, 50, {}), totals, koefs, tri)
-    assert zero.n_hat == 0 and zero.variance == 0 and zero.cv is None
+    n_hat, variance, cv, _, parts = _estimates(
+        3, totals, {FrameKind.FORK: 50}, {})
+    assert n_hat[tri] == 0 and variance[tri] == 0 and math.isnan(cv[tri])
+    # the empty class has koef 0: forks cannot see it, so it has no row
+    assert not parts[:, 0].any()
+    assert parts[:, path].all()
 
-    full = single_estimate(_acc(FrameKind.FORK, 4, 50, {tri: 50}),
-                           totals, koefs, tri)
-    assert full.n_hat == pytest.approx(1.0)  # 3 forks / koef 3
-    assert full.variance == 0 and full.cv == 0
+    n_hat, variance, cv, _, _ = _estimates(
+        3, totals, {FrameKind.FORK: 50}, {FrameKind.FORK: {tri: 50}})
+    assert n_hat[tri] == pytest.approx(1.0)  # 3 forks / koef 3
+    assert variance[tri] == 0 and cv[tri] == 0
 
-    with pytest.raises(ValueError, match="cannot detect"):
-        # the empty class has koef 0: forks cannot see it
-        single_estimate(_acc(FrameKind.FORK, 4, 50, {}), totals, koefs, 0)
-    with pytest.raises(ValueError, match="no experiments"):
-        single_estimate(_acc(FrameKind.FORK, 4, 0, {}), totals, koefs, path)
+    # no experiments recorded: no class is estimated
+    assert not _estimates(3, totals, {}, {})[4].any()
 
 
 def test_optimal_lambda_worked_example():
@@ -95,65 +100,71 @@ def test_optimal_lambda_minimizes_squared_cv_on_a_grid():
         assert at_lam <= best + 1e-12 + 1e-9 * best
 
 
+def test_optimal_lambda_takes_arrays():
+    rng = np.random.default_rng(42)
+    n_a, n_b = rng.uniform(0.0, 100, size=(2, 50)).round(0)
+    d_a, d_b = rng.uniform(0.0, 50, size=(2, 50)).round(0)
+    n_b[n_a == 0] = 1.0
+    n_a[:4], d_a[:4], n_b[:4], d_b[:4] = [50, 50, 0, 50], 0, [80, 80, 80, 0], \
+        [0, 10, 0, 0]
+    lam = optimal_lambda(n_a, d_a, n_b, d_b)
+    assert lam.shape == (50,)
+    assert lam.tolist() == [optimal_lambda(*x) for x in
+                            zip(n_a.tolist(), d_a.tolist(), n_b.tolist(),
+                                d_b.tolist())]
+    assert lam[:4].tolist() == [0.5, 0.0, 1.0, 0.0]
+    with pytest.raises(ValueError):
+        optimal_lambda(np.array([1.0, 0.0]), 1.0, np.array([1.0, 0.0]), 1.0)
+    with pytest.raises(ValueError):
+        optimal_lambda(n_a, d_a, n_b, np.where(d_b > 0, -d_b, 0.0))
+
+
+# a size-4 clique has koef 12 (chains) and 4 (tridents); frame totals and
+# tallies below are chosen so that its chain and trident estimates come
+# out at prescribed (n_hat, variance)
+CLIQUE = arrcode_table(4, False).classify(0b111111)
+
+
+def _clique(chain, trident):
+    """Mixed clique estimate from (frame total, experiments, detections)
+    per kind."""
+    totals = FrameTotals(n_fork=0, n_trident=trident[0], n_chain=chain[0])
+    n_hat, variance, cv, lam, parts = _estimates(
+        4, totals, {FrameKind.CHAIN: chain[1], FrameKind.TRIDENT: trident[1]},
+        {FrameKind.CHAIN: {CLIQUE: chain[2]},
+         FrameKind.TRIDENT: {CLIQUE: trident[2]}})
+    return n_hat[CLIQUE], variance[CLIQUE], lam[CLIQUE], parts[:, CLIQUE]
+
+
 def test_mixed_estimate_worked_example():
-    a = MotifEstimate(0, 90.0, 25.0, math.sqrt(25) / 90,
-                      sources=(FrameKind.CHAIN,))
-    b = MotifEstimate(0, 110.0, 100.0, math.sqrt(100) / 110,
-                      sources=(FrameKind.TRIDENT,))
-    mixed = mixed_estimate(a, b)
+    # chain (90, 25): 162 of 324 over 180 * 12 frames;
+    # trident (110, 100): 110 of 1210 over 1210 * 4 frames
+    n_hat, variance, mixed_lam, parts = _clique((2160, 324, 162),
+                                                (4840, 1210, 110))
     lam = Fraction(2750, 11750)
-    assert mixed.lam == pytest.approx(float(lam))
-    assert mixed.n_hat == pytest.approx(float(90 + lam * 20))
+    assert mixed_lam == pytest.approx(float(lam))
+    assert n_hat == pytest.approx(float(90 + lam * 20))
     expected_var = float((1 - lam) ** 2 * 25 + lam ** 2 * 100)
-    assert mixed.variance == pytest.approx(expected_var)
-    assert mixed.n_hat == pytest.approx(94.681, abs=5e-4)
-    assert mixed.variance == pytest.approx(20.145, abs=5e-4)
-    assert mixed.sources == (FrameKind.CHAIN, FrameKind.TRIDENT)
+    assert variance == pytest.approx(expected_var)
+    assert n_hat == pytest.approx(94.681, abs=5e-4)
+    assert variance == pytest.approx(20.145, abs=5e-4)
+    assert parts.tolist() == [True, True]   # sources: chain, trident
 
 
 def test_mixed_estimate_identical_inputs_halve_variance():
-    a = MotifEstimate(0, 50.0, 8.0, math.sqrt(8) / 50)
-    b = MotifEstimate(0, 50.0, 8.0, math.sqrt(8) / 50)
-    mixed = mixed_estimate(a, b)
-    assert mixed.lam == 0.5
-    assert mixed.n_hat == 50.0
-    assert mixed.variance == pytest.approx(4.0)
+    # both (50, 8): 250 of 1250 over 250 * koef frames
+    n_hat, variance, lam, _ = _clique((3000, 1250, 250), (1000, 1250, 250))
+    assert lam == 0.5
+    assert n_hat == 50.0
+    assert variance == pytest.approx(4.0)
 
 
 def test_mixed_estimate_prefers_variance_free_side():
-    a = MotifEstimate(0, 50.0, 8.0, math.sqrt(8) / 50)
-    b = MotifEstimate(0, 47.0, 0.0, 0.0)
-    mixed = mixed_estimate(a, b)
-    assert mixed.lam == 1.0
-    assert mixed.n_hat == 47.0
-    assert mixed.variance == 0.0
-
-
-def test_mixed_estimate_rejects_class_mismatch():
-    a = MotifEstimate(0, 1.0, 1.0, 1.0)
-    b = MotifEstimate(1, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        mixed_estimate(a, b)
-
-
-def test_accumulator_merge_is_a_monoid():
-    a = _acc(FrameKind.CHAIN, 11, 10, {3: 2, 7: 1})
-    b = _acc(FrameKind.CHAIN, 11, 5, {3: 1})
-    c = _acc(FrameKind.CHAIN, 11, 7, {9: 4})
-    zero = SampleAccumulator.empty(FrameKind.CHAIN, 11)
-
-    ab_c = a.merge(b).merge(c)
-    a_bc = a.merge(b.merge(c))
-    assert ab_c.n_experiments == a_bc.n_experiments == 22
-    assert np.array_equal(ab_c.detections, a_bc.detections)
-    ba = b.merge(a)
-    assert np.array_equal(a.merge(b).detections, ba.detections)
-    assert np.array_equal(a.merge(zero).detections, a.detections)
-    assert a.merge(zero).n_experiments == a.n_experiments
-
-    with pytest.raises(ValueError):
-        a.merge(_acc(FrameKind.TRIDENT, 11, 1, {}))
-    assert a.degenerate == 7
+    # chain (50, 8) as above; trident (47, 0): 10 of 10 over 47 * 4 frames
+    n_hat, variance, lam, _ = _clique((3000, 1250, 250), (188, 10, 10))
+    assert lam == 1.0
+    assert n_hat == 47.0
+    assert variance == 0.0
 
 
 def test_run_requires_a_stopping_rule(k4):
@@ -250,6 +261,83 @@ def test_unreachable_target_exhausts_the_budget():
                                 batch_size=1000)
     assert report.stop_reason == "budget"
     assert report.experiments["fork"]["n_experiments"] == 3000
+
+
+def test_stop_rule_holds_classes_detected_five_times():
+    cv = np.array([np.nan, 0.5, 0.01, 0.04])
+    hits = {FrameKind.CHAIN: np.array([0, 4, 9, 2]),
+            FrameKind.TRIDENT: np.array([0, 0, 0, 5])}
+    # class 1 has 4 detections and is not held to the target; class 3 is,
+    # through its 5 trident detections
+    assert estimator._target_met(cv, hits, 0.05)
+    assert not estimator._target_met(cv, hits, 0.03)
+    hits[FrameKind.CHAIN][1] = 5
+    assert not estimator._target_met(cv, hits, 0.05)
+
+
+def test_target_without_a_budget_stops_at_the_frame_totals():
+    rng = np.random.default_rng(19)
+    g = random_graph(rng, 30, 0.2, directed=False)
+    assert frame_totals(g).n_fork == 539
+    # one round of forks reaches the frame total: an exact census costs
+    # no more, so the run refuses instead of sampling on
+    with pytest.raises(ValueError, match=r"target CV 1e-06 not reached "
+                       r"after 539 experiments.*motif-census exact"):
+        run_sampled_census(g, 3, target_cv=1e-6, seed=1)
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_target_met_before_the_frame_totals_draws_as_unbounded(size):
+    g = random_graph(np.random.default_rng(63), 60, 0.15, directed=False)
+    runs = [run_sampled_census(g, size, budget, target_cv=0.3, seed=4,
+                               workers=3, batch_size=200).to_dict()
+            for budget in (None, 10 ** 9)]
+    for run in runs:
+        del run["elapsed"], run["budget"]
+    assert runs[0]["stop_reason"] == "target_cv"
+    assert all(e["n_experiments"] < e["frame_total"]
+               for e in runs[0]["experiments"].values())
+    assert runs[0] == runs[1]
+
+
+ORACLE_GRAPHS = {
+    "undirected": lambda: random_graph(np.random.default_rng(64), 25, 0.2,
+                                       directed=False),
+    "directed": lambda: random_graph(np.random.default_rng(65), 20, 0.25,
+                                     directed=True),
+    "k3": lambda: loads_graph("0 1\n1 2\n0 2\n"),
+}
+ORACLE_RUNS = [
+    (name, size, run) for name in ORACLE_GRAPHS for size in (3, 4)
+    for run in ({"budget": 3_001},
+                {"budget": 40_000, "target_cv": 0.1, "batch_size": 500},
+                {"budget": 4_000, "chain_share": 0.0},
+                {"budget": 4_000, "chain_share": 1.0})
+    if size == 4 or "chain_share" not in run]
+
+
+@pytest.mark.parametrize("name,size,run", ORACLE_RUNS)
+def test_report_rows_match_the_scalar_oracle(name, size, run):
+    report = run_sampled_census(ORACLE_GRAPHS[name](), size, seed=9,
+                                workers=3, **run)
+    rows = [{key: m[key] for key in ("class_id", "n_hat", "variance", "cv",
+                                      "lambda", "sources")}
+            for m in report.motifs]
+    assert rows == estimate_rows(report.to_dict())
+    assert rows
+
+
+def test_public_api_is_pinned():
+    names = [
+        "ArrcodeTable", "CensusReport", "EdgeListError", "ExactCensus",
+        "FrameBatch", "FrameKind", "FrameTotals", "Graph", "KoefTable",
+        "LoadReport", "MotifClass", "arrcode_table", "build_arrcode",
+        "dumps_graph", "exact_census", "frame_sampler", "frame_totals",
+        "induced_subgraph_codes", "kinds_for_size", "koef_table",
+        "load_graph", "loads_graph", "optimal_lambda", "pair_slots",
+        "run_sampled_census"]
+    assert sorted(motifcensus.__all__) == names
+    assert all(hasattr(motifcensus, name) for name in names)
 
 
 def test_estimates_are_unbiased_on_a_random_graph():
