@@ -50,26 +50,12 @@ class ArrcodeTable:
         self.classes = classes
 
     @property
-    def n_codes(self) -> int:
-        return int(self.entries.size)
-
-    @property
     def n_classes(self) -> int:
         return len(self.classes)
 
     @property
     def n_connected(self) -> int:
         return sum(1 for c in self.classes if c.connected)
-
-    def classify(self, code: int) -> int:
-        if not 0 <= code < self.n_codes:
-            raise ValueError(
-                f"code {code} out of range for size {self.size} "
-                f"{'directed' if self.directed else 'undirected'} table")
-        return int(self.entries[code])
-
-    def connected_class_ids(self) -> tuple[int, ...]:
-        return tuple(c.class_id for c in self.classes if c.connected)
 
     def to_dict(self) -> dict:
         return {
@@ -102,7 +88,7 @@ def _is_connected(code: int, size: int,
     return len({find(v) for v in range(size)}) == 1
 
 
-def build_arrcode(size: int, directed: bool) -> ArrcodeTable:
+def _build_arrcode(size: int, directed: bool) -> ArrcodeTable:
     """Brute-force the full code -> class table for one family."""
     if size not in (3, 4):
         raise ValueError(f"subgraph size must be 3 or 4, got {size}")
@@ -134,5 +120,5 @@ def build_arrcode(size: int, directed: bool) -> ArrcodeTable:
 
 @lru_cache(maxsize=None)
 def arrcode_table(size: int, directed: bool) -> ArrcodeTable:
-    """Cached accessor; build_arrcode does the actual work."""
-    return build_arrcode(size, directed)
+    """Class table of one family, built once by brute force."""
+    return _build_arrcode(size, directed)

@@ -54,15 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
                           help="total experiment budget")
     p_sample.add_argument("--target-cv", type=float, default=None,
                           help="stop once well-observed classes reach this "
-                               "coefficient of variation; without --samples, "
+                               "coefficient of variation (positive and "
+                               "finite); without --samples, "
                                "each frame kind draws at most its frame "
                                "total and a target unmet there fails")
     p_sample.add_argument("--seed", type=int, default=DEFAULT_SEED,
                           help=f"RNG seed (default {DEFAULT_SEED})")
-    p_sample.add_argument("--workers", type=int, default=1,
-                          help="independent sample streams")
     p_sample.add_argument("--batch", type=int, default=DEFAULT_BATCH_SIZE,
-                          help="experiments per round")
+                          help="experiments per frame kind between two "
+                               "checks of --target-cv")
     p_sample.add_argument("--chain-share", type=float, default=0.5,
                           help="fraction of the budget spent on chains "
                                "(size 4 only)")
@@ -92,7 +92,6 @@ def _config_dict(args: argparse.Namespace) -> dict:
         "samples": get("samples"),
         "target_cv": get("target_cv"),
         "seed": get("seed"),
-        "workers": get("workers"),
         "batch": get("batch"),
         "chain_share": get("chain_share"),
         "format": get("format", "json"),
@@ -174,8 +173,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     g = load_graph(args.input, directed=args.directed)
     report = run_sampled_census(
         g, args.size, budget=args.samples, target_cv=args.target_cv,
-        seed=args.seed, workers=args.workers, batch_size=args.batch,
-        chain_share=args.chain_share)
+        seed=args.seed, batch_size=args.batch, chain_share=args.chain_share)
     config = _config_dict(args)
     if args.format == "json":
         payload = {"config": config, "graph": g.load_report.to_dict()}

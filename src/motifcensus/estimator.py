@@ -67,7 +67,6 @@ class CensusReport:
     size: int
     directed: bool
     seed: int
-    workers: int
     budget: int | None
     target_cv: float | None
     batch_size: int
@@ -85,7 +84,6 @@ class CensusReport:
             "size": self.size,
             "directed": self.directed,
             "seed": self.seed,
-            "workers": self.workers,
             "budget": self.budget,
             "target_cv": self.target_cv,
             "batch_size": self.batch_size,
@@ -155,7 +153,6 @@ def _target_met(cv: np.ndarray, hits: dict, target: float) -> bool:
 
 def run_sampled_census(g: Graph, size: int, budget: int | None = None,
                        target_cv: float | None = None, *, seed: int,
-                       workers: int = 1,
                        batch_size: int = DEFAULT_BATCH_SIZE,
                        chain_share: float = 0.5) -> CensusReport:
     """Sampled census of all connected motif classes of one size.
@@ -167,13 +164,13 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
             it is split chain/trident by chain_share.  May be omitted when
             target_cv is given.
         target_cv: stop early once every class detected at least 5 times
-            has cv at or below this value.  Without a budget, each kind
-            draws at most its frame total; a target still unmet there
-            raises ValueError.
-        seed: root seed; runs are reproducible given the same seed,
-            workers and batch_size.
-        workers: number of independent sample streams, merged
-            deterministically.
+            has cv at or below this value, which must be positive and
+            finite.  Without a budget, each kind draws at most its frame
+            total; a target still unmet there raises ValueError.
+        seed: root seed; each frame kind draws from its own stream of it,
+            so a run is reproducible given the same arguments.
+        batch_size: experiments per kind between two checks of the stop
+            rule; a report without target_cv does not depend on it.
 
     Returns:
         CensusReport with per-class estimates and per-experiment tallies.
@@ -185,10 +182,9 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
         raise ValueError("need a sample budget or a target CV")
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
-    if target_cv is not None and target_cv <= 0:
-        raise ValueError("target CV must be positive")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    if target_cv is not None and not 0 < target_cv < math.inf:
+        raise ValueError(f"target CV must be positive and finite, "
+                         f"got {target_cv}")
     if batch_size < 1:
         raise ValueError("batch size must be at least 1")
     if not 0.0 <= chain_share <= 1.0:
@@ -217,39 +213,28 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
         remaining = {FrameKind.CHAIN: chain_budget,
                      FrameKind.TRIDENT: budget - chain_budget}
 
-    # one stream per (worker, kind), built on first use: spawn key (w, i)
-    # is child i of child w of SeedSequence(seed), as spawn() would make
-    # it.  Kind slots are fixed by size so streams do not shift when a
-    # kind is inactive
-    rngs = {}
-
-    def stream(kind: FrameKind, w: int) -> np.random.Generator:
-        if (kind, w) not in rngs:
-            seq = np.random.SeedSequence(seed,
-                                         spawn_key=(w, kinds.index(kind)))
-            rngs[(kind, w)] = np.random.default_rng(seq)
-        return rngs[(kind, w)]
+    # one stream per kind that draws: spawn key (0, i) is child i of child
+    # 0 of SeedSequence(seed), as spawn() would make it.  Kind slots are
+    # fixed by size so streams do not shift when a kind is inactive
+    rngs = {k: np.random.default_rng(np.random.SeedSequence(
+                seed, spawn_key=(0, kinds.index(k))))
+            for k in active if remaining[k] > 0}
 
     stop_reason = "budget"
-    while True:
-        drew_any = False
-        for kind in active:
+    while any(remaining.values()):
+        for kind, rng in rngs.items():
             chunk = min(batch_size, remaining[kind])
-            if chunk <= 0:
-                continue
-            drew_any = True
             remaining[kind] -= chunk
-            base, extra = divmod(chunk, workers)
-            for w in range(min(workers, chunk)):
-                m = base + (1 if w < extra else 0)
-                batch = samplers[kind].sample_batch(stream(kind, w), m)
-                n[kind] += m
+            n[kind] += chunk
+            # slices keep a round's memory independent of batch_size; the
+            # ranks drawn are the same as in one call
+            for start in range(0, chunk, DEFAULT_BATCH_SIZE):
+                batch = samplers[kind].sample_batch(
+                    rng, min(DEFAULT_BATCH_SIZE, chunk - start))
                 codes = induced_subgraph_codes(
                     g, batch.vertices[:, ~batch.degenerate])
                 hits[kind] += np.bincount(table.entries[codes],
                                           minlength=table.n_classes)
-        if not drew_any:
-            break
         if target_cv is not None:
             cv = _build_estimates(koefs, totals, n, hits)[2]
             if _target_met(cv, hits, target_cv):
@@ -284,7 +269,7 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     } for cid in np.flatnonzero(parts.any(axis=0)).tolist()]
 
     return CensusReport(
-        size=size, directed=g.directed, seed=seed, workers=workers,
+        size=size, directed=g.directed, seed=seed,
         budget=budget, target_cv=target_cv, batch_size=batch_size,
         chain_share=chain_share, n_vertices=g.n_vertices, n_edges=g.n_edges,
         frame_totals=totals, experiments=experiments, motifs=motifs,

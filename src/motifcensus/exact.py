@@ -36,9 +36,6 @@ class ExactCensus:
     counts: dict[int, int]
     elapsed: float
 
-    def nonzero(self) -> dict[int, int]:
-        return {cid: c for cid, c in self.counts.items() if c}
-
     def total(self) -> int:
         return sum(self.counts.values())
 

@@ -249,13 +249,6 @@ class KoefTable:
     def kinds(self) -> tuple[FrameKind, ...]:
         return kinds_for_size(self.size)
 
-    def koef(self, class_id: int, kind: FrameKind) -> int:
-        kind = FrameKind(kind)
-        if kind.size != self.size:
-            raise ValueError(f"{kind.value} frames span size {kind.size}, "
-                             f"table is for size {self.size}")
-        return int(self.counts[kind][class_id])
-
     def to_dict(self) -> dict:
         return {
             "size": self.size,

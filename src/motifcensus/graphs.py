@@ -93,7 +93,6 @@ class Graph:
         self.edge_pos_in_v = edge_pos_in_v
         self.arc_keys = arc_keys
         self.load_report = load_report
-        self._label_ids = {lab: i for i, lab in enumerate(labels)}
         self._samplers = {}
 
     @classmethod
@@ -131,15 +130,6 @@ class Graph:
     @property
     def n_arcs(self) -> int | None:
         return int(self.arc_keys.size) if self.directed else None
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.adj_flat[self.adj_offsets[v]:self.adj_offsets[v + 1]]
-
-    def degree(self, v: int) -> int:
-        return int(self.degrees[v])
-
-    def vertex_id(self, label: str) -> int:
-        return self._label_ids[label]
 
     def arcs(self) -> np.ndarray:
         """Directed arcs as an (m, 2) array of dense ids."""
@@ -241,16 +231,6 @@ def load_graph(source: str | Path | IO[str], directed: bool = False) -> Graph:
     if hasattr(source, "read"):
         return loads_graph(source.read(), directed)
     return loads_graph(Path(source).read_text(), directed)
-
-
-def dumps_graph(g: Graph) -> str:
-    """Serialize back to edge-list text using the original labels."""
-    if g.directed:
-        pairs = g.arcs()
-    else:
-        pairs = np.stack([g.edge_u, g.edge_v], axis=1)
-    lines = [f"{g.labels[int(a)]} {g.labels[int(b)]}" for a, b in pairs]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _in_sorted(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:

@@ -27,6 +27,13 @@ def to_nx(g: Graph):
     return gx
 
 
+def dumps_graph(g: Graph) -> str:
+    """Edge-list text of g in its original labels, one pair per line."""
+    pairs = g.arcs() if g.directed else zip(g.edge_u, g.edge_v)
+    return "".join(f"{g.labels[int(a)]} {g.labels[int(b)]}\n"
+                   for a, b in pairs)
+
+
 def random_graph(rng: np.random.Generator, n: int, p: float,
                  directed: bool) -> Graph:
     """Dense-id G(n, p); keeps isolated vertices."""
@@ -127,7 +134,7 @@ def brute_force_census(g: Graph, size: int) -> dict:
     table = arrcode_table(size, g.directed)
     counts = {cls.class_id: 0 for cls in table.classes if cls.connected}
     for combo in connected_sets_brute(g, size):
-        counts[table.classify(induced_code(g, combo))] += 1
+        counts[int(table.entries[induced_code(g, combo)])] += 1
     return counts
 
 
@@ -217,7 +224,7 @@ def estimate_rows(report: dict) -> list:
             continue
         parts = []
         for kind in kinds_for_size(size):
-            koef = koefs.koef(cls.class_id, kind)
+            koef = koefs.counts[kind][cls.class_id]
             n_f = report["frame_totals"][kind.value]
             n = report["experiments"][kind.value]["n_experiments"]
             if koef == 0:

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from motifcensus import cli, dumps_graph
+from motifcensus import cli
 from motifcensus.cli import DEFAULT_SEED, build_parser, main
 from conftest import data_path
-from oracles import random_graph
+from oracles import dumps_graph, random_graph
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +190,24 @@ def test_sample_needs_a_stopping_rule(capsys):
                            str(data_path("k4.txt")), "--size", "4")
     assert code == 1
     assert "budget" in err or "CV" in err
+
+
+@pytest.mark.parametrize("target", ["nan", "inf", "0"])
+def test_sample_rejects_a_target_cv_that_is_not_positive_and_finite(
+        capsys, target):
+    code, out, err = run_cli(capsys, "sample", "-i",
+                             str(data_path("k4.txt")), "--size", "4",
+                             "--samples", "100", "--target-cv", target)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: target CV must be positive and finite")
+
+
+def test_sample_has_no_workers_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "-i", str(data_path("k4.txt")), "--size", "4",
+              "--samples", "100", "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_sample_target_cv_reports_reason(capsys):

@@ -28,7 +28,7 @@ def _estimates(size, totals, n, hits):
 
 
 def test_single_estimate_formula(k3):
-    tri = arrcode_table(3, False).classify(0b111)
+    tri = arrcode_table(3, False).entries[0b111]
     n_hat, variance, cv, lam, parts = _estimates(
         3, frame_totals(k3), {FrameKind.FORK: 100},
         {FrameKind.FORK: {tri: 40}})
@@ -43,8 +43,8 @@ def test_single_estimate_formula(k3):
 def test_single_estimate_edge_cases(k3):
     totals = frame_totals(k3)
     table = arrcode_table(3, False)
-    tri = table.classify(0b111)
-    path = table.classify(0b011)
+    tri = table.entries[0b111]
+    path = table.entries[0b011]
 
     n_hat, variance, cv, _, parts = _estimates(
         3, totals, {FrameKind.FORK: 50}, {})
@@ -122,7 +122,7 @@ def test_optimal_lambda_takes_arrays():
 # a size-4 clique has koef 12 (chains) and 4 (tridents); frame totals and
 # tallies below are chosen so that its chain and trident estimates come
 # out at prescribed (n_hat, variance)
-CLIQUE = arrcode_table(4, False).classify(0b111111)
+CLIQUE = arrcode_table(4, False).entries[0b111111]
 
 
 def _clique(chain, trident):
@@ -174,8 +174,9 @@ def test_run_requires_a_stopping_rule(k4):
         run_sampled_census(k4, 4, budget=-1, seed=1)
     with pytest.raises(ValueError):
         run_sampled_census(k4, 5, budget=10, seed=1)
-    with pytest.raises(ValueError):
-        run_sampled_census(k4, 4, budget=10, seed=1, workers=0)
+    for target in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_sampled_census(k4, 4, budget=10, target_cv=target, seed=1)
 
 
 def test_run_with_zero_budget_reports_nothing(k4):
@@ -229,21 +230,36 @@ def test_run_errors_when_no_frames_exist():
 
 
 def test_run_is_deterministic(k4):
-    a = run_sampled_census(k4, 4, budget=3000, seed=11, workers=2)
-    b = run_sampled_census(k4, 4, budget=3000, seed=11, workers=2)
+    a = run_sampled_census(k4, 4, budget=3000, seed=11)
+    b = run_sampled_census(k4, 4, budget=3000, seed=11)
     da, db = a.to_dict(), b.to_dict()
     da.pop("elapsed")
     db.pop("elapsed")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
-    c = run_sampled_census(k4, 4, budget=3000, seed=12, workers=2)
+    c = run_sampled_census(k4, 4, budget=3000, seed=12)
     assert c.to_json() != a.to_json()
 
 
-def test_worker_split_preserves_the_budget(k4):
-    for workers in (1, 2, 3, 7):
-        report = run_sampled_census(k4, 3, budget=1000, seed=13,
-                                    workers=workers)
-        assert report.experiments["fork"]["n_experiments"] == 1000
+def test_budget_report_does_not_depend_on_the_batch_size():
+    # batch_size only spaces the stop rule's checks; a round bigger than
+    # DEFAULT_BATCH_SIZE is drawn in slices, from the same stream
+    g = random_graph(np.random.default_rng(66), 40, 0.2, directed=False)
+    drawn = []
+    for kind in kinds_for_size(4):
+        sampler = frame_sampler(g, kind)
+
+        def draw(rng, m, real=sampler.sample_batch):
+            drawn.append(m)
+            return real(rng, m)
+        sampler.sample_batch = draw
+    reports = []
+    for batch_size in (7, 400, estimator.DEFAULT_BATCH_SIZE, 10 ** 9):
+        run = run_sampled_census(g, 4, budget=50_001, seed=8,
+                                 batch_size=batch_size).to_dict()
+        del run["elapsed"], run["batch_size"]
+        reports.append(run)
+    assert all(run == reports[0] for run in reports)
+    assert max(drawn) == estimator.DEFAULT_BATCH_SIZE
 
 
 def test_target_cv_stops_early(k3):
@@ -290,7 +306,7 @@ def test_target_without_a_budget_stops_at_the_frame_totals():
 def test_target_met_before_the_frame_totals_draws_as_unbounded(size):
     g = random_graph(np.random.default_rng(63), 60, 0.15, directed=False)
     runs = [run_sampled_census(g, size, budget, target_cv=0.3, seed=4,
-                               workers=3, batch_size=200).to_dict()
+                               batch_size=200).to_dict()
             for budget in (None, 10 ** 9)]
     for run in runs:
         del run["elapsed"], run["budget"]
@@ -318,8 +334,7 @@ ORACLE_RUNS = [
 
 @pytest.mark.parametrize("name,size,run", ORACLE_RUNS)
 def test_report_rows_match_the_scalar_oracle(name, size, run):
-    report = run_sampled_census(ORACLE_GRAPHS[name](), size, seed=9,
-                                workers=3, **run)
+    report = run_sampled_census(ORACLE_GRAPHS[name](), size, seed=9, **run)
     rows = [{key: m[key] for key in ("class_id", "n_hat", "variance", "cv",
                                       "lambda", "sources")}
             for m in report.motifs]
@@ -331,11 +346,10 @@ def test_public_api_is_pinned():
     names = [
         "ArrcodeTable", "CensusReport", "EdgeListError", "ExactCensus",
         "FrameBatch", "FrameKind", "FrameTotals", "Graph", "KoefTable",
-        "LoadReport", "MotifClass", "arrcode_table", "build_arrcode",
-        "dumps_graph", "exact_census", "frame_sampler", "frame_totals",
-        "induced_subgraph_codes", "kinds_for_size", "koef_table",
-        "load_graph", "loads_graph", "optimal_lambda", "pair_slots",
-        "run_sampled_census"]
+        "LoadReport", "MotifClass", "arrcode_table", "exact_census",
+        "frame_sampler", "frame_totals", "induced_subgraph_codes",
+        "kinds_for_size", "koef_table", "load_graph", "loads_graph",
+        "optimal_lambda", "pair_slots", "run_sampled_census"]
     assert sorted(motifcensus.__all__) == names
     assert all(hasattr(motifcensus, name) for name in names)
 
@@ -367,7 +381,7 @@ def test_variance_estimate_tracks_spread(k4):
     # chain experiment on K4: detection probability 1/2, known variance
     reps = [run_sampled_census(k4, 4, budget=2000, seed=100 + s,
                                chain_share=1.0) for s in range(30)]
-    clique = arrcode_table(4, False).classify(0b111111)
+    clique = arrcode_table(4, False).entries[0b111111]
     values = []
     predicted = []
     for rep in reps:
@@ -387,13 +401,16 @@ def test_streams_are_built_only_where_they_draw(monkeypatch):
         made.append(seed)
         return real(seed)
     monkeypatch.setattr(np.random, "default_rng", counting)
-    report = run_sampled_census(g, 4, budget=1000, seed=3, workers=10_000,
-                                batch_size=100)
-    # 500 experiments per kind in rounds of 100: only workers 0..99 draw,
-    # and each keeps its stream from round to round
+    report = run_sampled_census(g, 4, budget=1000, seed=3, batch_size=100)
+    # 500 experiments per kind in 5 rounds of 100: each kind keeps its one
+    # stream from round to round
     assert report.experiments["chain"]["n_experiments"] == 500
     assert report.experiments["trident"]["n_experiments"] == 500
-    assert len(made) == 2 * 100
+    assert len(made) == 2
+    # a kind with no share of the budget gets no stream
+    made.clear()
+    run_sampled_census(g, 4, budget=1000, seed=3, chain_share=0.0)
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize("size,directed", [(3, True), (4, False)])
@@ -417,7 +434,7 @@ def test_traced_entry_points_see_every_frame(monkeypatch, size, directed):
             drawn[kind] += m
             return real(rng, m)
         sampler.sample_batch = draw
-    report = run_sampled_census(g, size, budget=3_001, seed=5, workers=3,
+    report = run_sampled_census(g, size, budget=3_001, seed=5,
                                 batch_size=400)
     spent = {FrameKind(k): e["n_experiments"]
              for k, e in report.experiments.items()}
@@ -430,24 +447,19 @@ def test_traced_entry_points_see_every_frame(monkeypatch, size, directed):
 
 
 # (chain degenerate, {class_id: (chain, trident) detections}) of one seeded
-# run per worker count, recorded with SeedSequence(seed).spawn(workers)
-# and then .spawn(n_kinds) per worker, each draw unranking one uniform
-# integer rank per frame; neither the stream layout nor the unranking may
-# drift, so earlier reports stay reproducible
-SEEDED_RUNS = {
-    1: (100, {3: (0, 417), 6: (479, 0), 7: (332, 602), 8: (149, 0),
-              9: (156, 187), 10: (34, 45)}),
-    3: (106, {3: (0, 406), 6: (483, 0), 7: (307, 603), 8: (154, 0),
-              9: (157, 202), 10: (43, 40)}),
-}
+# run.  Kind i of the size (chain 0, trident 1) draws from the stream of
+# SeedSequence(seed, spawn_key=(0, i)), child i of the first child of
+# SeedSequence(seed) as spawn() makes them, and each draw unranks one
+# uniform integer rank per frame; neither the stream layout nor the
+# unranking may drift, so earlier reports stay reproducible
+SEEDED_RUN = (100, {3: (0, 417), 6: (479, 0), 7: (332, 602), 8: (149, 0),
+                    9: (156, 187), 10: (34, 45)})
 
 
-@pytest.mark.parametrize("workers", sorted(SEEDED_RUNS))
-def test_seeded_streams_are_unchanged(workers):
+def test_seeded_streams_are_unchanged():
     g = random_graph(np.random.default_rng(61), 14, 0.35, directed=False)
-    report = run_sampled_census(g, 4, budget=2_501, seed=17,
-                                workers=workers, batch_size=400)
-    degenerate, detections = SEEDED_RUNS[workers]
+    report = run_sampled_census(g, 4, budget=2_501, seed=17, batch_size=400)
+    degenerate, detections = SEEDED_RUN
     assert report.experiments["chain"]["degenerate"] == degenerate
     assert {m["class_id"]: (m["detections"]["chain"],
                             m["detections"]["trident"])

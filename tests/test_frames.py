@@ -226,9 +226,9 @@ def test_koef_fork_values():
     kt = koef_table(3, False)
     table = arrcode_table(3, False)
     by_code = {c.canonical_code: c.class_id for c in table.classes}
-    assert kt.koef(by_code[0b011], FrameKind.FORK) == 1   # 2-path
-    assert kt.koef(by_code[0b111], FrameKind.FORK) == 3   # triangle
-    assert kt.koef(by_code[0], FrameKind.FORK) == 0       # empty
+    assert kt.counts[FrameKind.FORK][by_code[0b011]] == 1   # 2-path
+    assert kt.counts[FrameKind.FORK][by_code[0b111]] == 3   # triangle
+    assert kt.counts[FrameKind.FORK][by_code[0]] == 0       # empty
 
 
 def test_koef_quad_values():
@@ -245,8 +245,8 @@ def test_koef_quad_values():
     }
     for code, (trident, chain) in expected.items():
         cid = by_code[code]
-        assert kt.koef(cid, FrameKind.TRIDENT) == trident
-        assert kt.koef(cid, FrameKind.CHAIN) == chain
+        assert kt.counts[FrameKind.TRIDENT][cid] == trident
+        assert kt.counts[FrameKind.CHAIN][cid] == chain
 
 
 def test_koef_coverage_split():
@@ -255,9 +255,9 @@ def test_koef_coverage_split():
     kt = koef_table(4, False)
     table = arrcode_table(4, False)
     chain_cover = trident_cover = 0
-    for cid in table.connected_class_ids():
-        ch = kt.koef(cid, FrameKind.CHAIN)
-        tr = kt.koef(cid, FrameKind.TRIDENT)
+    for cid in (c.class_id for c in table.classes if c.connected):
+        ch = kt.counts[FrameKind.CHAIN][cid]
+        tr = kt.counts[FrameKind.TRIDENT][cid]
         assert ch + tr > 0
         chain_cover += ch > 0
         trident_cover += tr > 0
@@ -269,8 +269,8 @@ def test_every_connected_class_is_coverable():
     for size, directed in [(3, False), (3, True), (4, False), (4, True)]:
         kt = koef_table(size, directed)
         table = arrcode_table(size, directed)
-        for cid in table.connected_class_ids():
-            assert any(kt.koef(cid, k) > 0 for k in kinds_for_size(size))
+        for cid in (c.class_id for c in table.classes if c.connected):
+            assert any(kt.counts[k][cid] > 0 for k in kinds_for_size(size))
 
 
 def test_koef_chain_matches_spanning_path_oracle():
@@ -282,7 +282,7 @@ def test_koef_chain_matches_spanning_path_oracle():
             if cls.canonical_code >> s & 1:
                 adj[i].add(j)
                 adj[j].add(i)
-        assert kt.koef(cls.class_id, FrameKind.CHAIN) == \
+        assert kt.counts[FrameKind.CHAIN][cls.class_id] == \
             spanning_path_count(adj)
 
 
@@ -299,7 +299,7 @@ def test_koef_matches_the_frame_loop_oracle(size, directed):
         for kind in kinds_for_size(size):
             spanning = sum(1 for _, degenerate in frames_brute(rep, kind)
                            if not degenerate)
-            assert kt.koef(cls.class_id, kind) == spanning
+            assert kt.counts[kind][cls.class_id] == spanning
 
 
 def test_directed_koef_follows_undirected_view():
@@ -315,11 +315,13 @@ def test_directed_koef_follows_undirected_view():
         for s, (i, j) in enumerate(pair_slots(4, True)):
             if cls.canonical_code >> s & 1:
                 ucode |= 1 << uindex[(min(i, j), max(i, j))]
-        ucid = utab.classify(ucode)
+        ucid = utab.entries[ucode]
         for kind in (FrameKind.CHAIN, FrameKind.TRIDENT):
-            assert dkt.koef(cls.class_id, kind) == und.koef(ucid, kind)
+            assert dkt.counts[kind][cls.class_id] == und.counts[kind][ucid]
 
 
 def test_koef_size_mismatch_rejected():
-    with pytest.raises(ValueError):
-        koef_table(3, False).koef(0, FrameKind.CHAIN)
+    # a size-3 table holds forks only
+    assert list(koef_table(3, False).counts) == [FrameKind.FORK]
+    with pytest.raises(KeyError):
+        koef_table(3, False).counts[FrameKind.CHAIN]
