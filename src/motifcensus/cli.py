@@ -16,7 +16,7 @@ import json
 import sys
 
 from .canon import arrcode_table
-from .estimator import DEFAULT_BATCH_SIZE, run_sampled_census
+from .estimator import run_sampled_census
 from .exact import exact_census
 from .frames import frame_totals, kinds_for_size, koef_table
 from .graphs import load_graph
@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p_sample)
     p_sample.add_argument("--size", type=int, choices=(3, 4), required=True)
     p_sample.add_argument("--samples", type=int, default=None,
-                          help="total experiment budget")
+                          help="total experiment budget; size 4 splits it "
+                               "evenly between chains and tridents")
     p_sample.add_argument("--target-cv", type=float, default=None,
                           help="stop once well-observed classes reach this "
                                "coefficient of variation (positive and "
@@ -59,13 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "each frame kind draws at most its frame "
                                "total and a target unmet there fails")
     p_sample.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                          help=f"RNG seed (default {DEFAULT_SEED})")
-    p_sample.add_argument("--batch", type=int, default=DEFAULT_BATCH_SIZE,
-                          help="experiments per frame kind between two "
-                               "checks of --target-cv")
-    p_sample.add_argument("--chain-share", type=float, default=0.5,
-                          help="fraction of the budget spent on chains "
-                               "(size 4 only)")
+                          help=f"nonnegative RNG seed "
+                               f"(default {DEFAULT_SEED})")
     p_sample.set_defaults(func=_cmd_sample)
 
     p_frames = sub.add_parser("frames", help="exact frame totals")
@@ -92,8 +88,6 @@ def _config_dict(args: argparse.Namespace) -> dict:
         "samples": get("samples"),
         "target_cv": get("target_cv"),
         "seed": get("seed"),
-        "batch": get("batch"),
-        "chain_share": get("chain_share"),
         "format": get("format", "json"),
         "output": get("output"),
     }
@@ -173,7 +167,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     g = load_graph(args.input, directed=args.directed)
     report = run_sampled_census(
         g, args.size, budget=args.samples, target_cv=args.target_cv,
-        seed=args.seed, batch_size=args.batch, chain_share=args.chain_share)
+        seed=args.seed)
     config = _config_dict(args)
     if args.format == "json":
         payload = {"config": config, "graph": g.load_report.to_dict()}

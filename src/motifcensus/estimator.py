@@ -21,7 +21,6 @@ the class table.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -29,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon import arrcode_table
-from .frames import (FrameKind, FrameTotals, KoefTable, frame_sampler,
-                     frame_totals, kinds_for_size, koef_table)
+from .frames import (CHUNK, FrameKind, FrameTotals, KoefTable,
+                     frame_sampler, frame_totals, kinds_for_size, koef_table)
 from .graphs import Graph, induced_subgraph_codes
 
-DEFAULT_BATCH_SIZE = 10_000
 # classes detected fewer times than this are not held to the CV target
 MIN_DETECTIONS_FOR_CV = 5
 
@@ -69,8 +67,6 @@ class CensusReport:
     seed: int
     budget: int | None
     target_cv: float | None
-    batch_size: int
-    chain_share: float
     n_vertices: int
     n_edges: int
     frame_totals: FrameTotals
@@ -86,8 +82,6 @@ class CensusReport:
             "seed": self.seed,
             "budget": self.budget,
             "target_cv": self.target_cv,
-            "batch_size": self.batch_size,
-            "chain_share": self.chain_share,
             "n_vertices": self.n_vertices,
             "n_edges": self.n_edges,
             "frame_totals": self.frame_totals.to_dict(),
@@ -96,9 +90,6 @@ class CensusReport:
             "stop_reason": self.stop_reason,
             "elapsed": self.elapsed,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
 
 def _build_estimates(koefs: KoefTable, totals: FrameTotals, n: dict,
@@ -152,25 +143,26 @@ def _target_met(cv: np.ndarray, hits: dict, target: float) -> bool:
 
 
 def run_sampled_census(g: Graph, size: int, budget: int | None = None,
-                       target_cv: float | None = None, *, seed: int,
-                       batch_size: int = DEFAULT_BATCH_SIZE,
-                       chain_share: float = 0.5) -> CensusReport:
+                       target_cv: float | None = None, *,
+                       seed: int) -> CensusReport:
     """Sampled census of all connected motif classes of one size.
+
+    The run goes in rounds: each frame kind with experiments left draws up
+    to CHUNK (10,000) frames, then the stop rule is checked.
 
     Args:
         g: input graph.
         size: motif size, 3 or 4.
         budget: total number of experiments across frame kinds; for size 4
-            it is split chain/trident by chain_share.  May be omitted when
-            target_cv is given.
-        target_cv: stop early once every class detected at least 5 times
-            has cv at or below this value, which must be positive and
-            finite.  Without a budget, each kind draws at most its frame
-            total; a target still unmet there raises ValueError.
-        seed: root seed; each frame kind draws from its own stream of it,
-            so a run is reproducible given the same arguments.
-        batch_size: experiments per kind between two checks of the stop
-            rule; a report without target_cv does not depend on it.
+            chains get half of it, rounded half to even, and tridents the
+            rest.  May be omitted when target_cv is given.
+        target_cv: stop after the first round in which every class
+            detected at least 5 times has cv at or below this value, which
+            must be positive and finite.  Without a budget, each kind draws
+            at most its frame total; a target still unmet there raises
+            ValueError.
+        seed: nonnegative root seed; each frame kind draws from its own
+            stream of it, so a run is reproducible given the same arguments.
 
     Returns:
         CensusReport with per-class estimates and per-experiment tallies.
@@ -178,6 +170,8 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     t0 = time.perf_counter()
     if size not in (3, 4):
         raise ValueError(f"motif size must be 3 or 4, got {size}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if budget is None and target_cv is None:
         raise ValueError("need a sample budget or a target CV")
     if budget is not None and budget < 0:
@@ -185,10 +179,6 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     if target_cv is not None and not 0 < target_cv < math.inf:
         raise ValueError(f"target CV must be positive and finite, "
                          f"got {target_cv}")
-    if batch_size < 1:
-        raise ValueError("batch size must be at least 1")
-    if not 0.0 <= chain_share <= 1.0:
-        raise ValueError("chain share must lie in [0, 1]")
 
     totals = frame_totals(g)
     kinds = kinds_for_size(size)
@@ -209,7 +199,8 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     elif len(active) == 1:
         remaining = {active[0]: budget}
     else:
-        chain_budget = int(round(budget * chain_share))
+        # an even split; an odd budget's half rounds half to even
+        chain_budget = round(budget / 2)
         remaining = {FrameKind.CHAIN: chain_budget,
                      FrameKind.TRIDENT: budget - chain_budget}
 
@@ -223,18 +214,16 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     stop_reason = "budget"
     while any(remaining.values()):
         for kind, rng in rngs.items():
-            chunk = min(batch_size, remaining[kind])
-            remaining[kind] -= chunk
-            n[kind] += chunk
-            # slices keep a round's memory independent of batch_size; the
-            # ranks drawn are the same as in one call
-            for start in range(0, chunk, DEFAULT_BATCH_SIZE):
-                batch = samplers[kind].sample_batch(
-                    rng, min(DEFAULT_BATCH_SIZE, chunk - start))
-                codes = induced_subgraph_codes(
-                    g, batch.vertices[:, ~batch.degenerate])
-                hits[kind] += np.bincount(table.entries[codes],
-                                          minlength=table.n_classes)
+            m = min(CHUNK, remaining[kind])
+            if m == 0:
+                continue
+            remaining[kind] -= m
+            n[kind] += m
+            batch = samplers[kind].sample_batch(rng, m)
+            codes = induced_subgraph_codes(
+                g, batch.vertices[:, ~batch.degenerate])
+            hits[kind] += np.bincount(table.entries[codes],
+                                      minlength=table.n_classes)
         if target_cv is not None:
             cv = _build_estimates(koefs, totals, n, hits)[2]
             if _target_met(cv, hits, target_cv):
@@ -269,8 +258,7 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     } for cid in np.flatnonzero(parts.any(axis=0)).tolist()]
 
     return CensusReport(
-        size=size, directed=g.directed, seed=seed,
-        budget=budget, target_cv=target_cv, batch_size=batch_size,
-        chain_share=chain_share, n_vertices=g.n_vertices, n_edges=g.n_edges,
+        size=size, directed=g.directed, seed=seed, budget=budget,
+        target_cv=target_cv, n_vertices=g.n_vertices, n_edges=g.n_edges,
         frame_totals=totals, experiments=experiments, motifs=motifs,
         stop_reason=stop_reason, elapsed=time.perf_counter() - t0)

@@ -21,10 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon import arrcode_table
-from .frames import FrameSet, kinds_for_size, koef_table
+from .frames import CHUNK, FrameSet, kinds_for_size, koef_table
 from .graphs import Graph, induced_subgraph_codes
-
-_FLUSH = 8192
 
 
 @dataclass
@@ -51,9 +49,9 @@ def exact_census(g: Graph, size: int) -> ExactCensus:
     for kind in kinds:
         hits = np.zeros(table.n_classes, dtype=np.int64)
         frames = FrameSet(g, kind)
-        for start in range(0, frames.total, _FLUSH):
+        for start in range(0, frames.total, CHUNK):
             batch = frames.unrank(np.arange(
-                start, min(start + _FLUSH, frames.total), dtype=np.int64))
+                start, min(start + CHUNK, frames.total), dtype=np.int64))
             codes = induced_subgraph_codes(
                 g, batch.vertices[:, ~batch.degenerate])
             hits += np.bincount(table.entries[codes],

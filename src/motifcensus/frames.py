@@ -32,6 +32,10 @@ import numpy as np
 from .canon import arrcode_table
 from .graphs import Graph, pair_slots
 
+# frames unranked and classified in one vectorized call, by the exact walk
+# and by each round of sampling; bounds the memory of either
+CHUNK = 10_000
+
 
 class FrameKind(str, Enum):
     FORK = "fork"

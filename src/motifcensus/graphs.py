@@ -127,17 +127,6 @@ class Graph:
     def n_edges(self) -> int:
         return int(self.edge_u.size)
 
-    @property
-    def n_arcs(self) -> int | None:
-        return int(self.arc_keys.size) if self.directed else None
-
-    def arcs(self) -> np.ndarray:
-        """Directed arcs as an (m, 2) array of dense ids."""
-        if not self.directed:
-            raise ValueError("undirected graph has no arcs")
-        n = self.n_vertices
-        return np.stack([self.arc_keys // n, self.arc_keys % n], axis=1)
-
 
 def _build(arr: np.ndarray, labels: tuple, directed: bool) -> Graph:
     n = len(labels)

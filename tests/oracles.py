@@ -17,11 +17,17 @@ from motifcensus import (FrameKind, Graph, arrcode_table, kinds_for_size,
                          koef_table, pair_slots)
 
 
+def arcs(g: Graph) -> np.ndarray:
+    """Directed arcs of g as an (m, 2) array of dense ids."""
+    n = g.n_vertices
+    return np.stack([g.arc_keys // n, g.arc_keys % n], axis=1)
+
+
 def to_nx(g: Graph):
     gx = nx.DiGraph() if g.directed else nx.Graph()
     gx.add_nodes_from(range(g.n_vertices))
     if g.directed:
-        gx.add_edges_from(map(tuple, g.arcs()))
+        gx.add_edges_from(map(tuple, arcs(g)))
     else:
         gx.add_edges_from(zip(g.edge_u.tolist(), g.edge_v.tolist()))
     return gx
@@ -29,7 +35,7 @@ def to_nx(g: Graph):
 
 def dumps_graph(g: Graph) -> str:
     """Edge-list text of g in its original labels, one pair per line."""
-    pairs = g.arcs() if g.directed else zip(g.edge_u, g.edge_v)
+    pairs = arcs(g) if g.directed else zip(g.edge_u, g.edge_v)
     return "".join(f"{g.labels[int(a)]} {g.labels[int(b)]}\n"
                    for a, b in pairs)
 
@@ -61,7 +67,7 @@ def induced_code(g: Graph, vertices) -> int:
     one set lookup per slot (see pair_slots)."""
     vs = [int(v) for v in vertices]
     if g.directed:
-        present = set(map(tuple, g.arcs().tolist()))
+        present = set(map(tuple, arcs(g).tolist()))
     else:
         present = set(zip(g.edge_u.tolist(), g.edge_v.tolist()))
     code = 0

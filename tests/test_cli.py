@@ -135,6 +135,10 @@ def test_sample_report_and_determinism(capsys):
     p2.pop("elapsed")
     assert p1 == p2
     assert p1["config"]["seed"] == 42
+    assert sorted(p1["config"]) == ["command", "directed", "format", "input",
+                                    "output", "samples", "seed", "size",
+                                    "target_cv"]
+    assert "batch_size" not in p1 and "chain_share" not in p1
     assert p1["stop_reason"] == "budget"
     spent = sum(e["n_experiments"] for e in p1["experiments"].values())
     assert spent == 2000
@@ -203,11 +207,21 @@ def test_sample_rejects_a_target_cv_that_is_not_positive_and_finite(
     assert err.startswith("error: target CV must be positive and finite")
 
 
-def test_sample_has_no_workers_flag():
+@pytest.mark.parametrize("flag", ["--workers", "--batch", "--chain-share"])
+def test_sample_has_no_flag_for_a_removed_knob(flag):
     with pytest.raises(SystemExit) as exc:
         main(["sample", "-i", str(data_path("k4.txt")), "--size", "4",
-              "--samples", "100", "--workers", "2"])
+              "--samples", "100", flag, "2"])
     assert exc.value.code == 2
+
+
+def test_sample_rejects_a_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "sample", "-i",
+                             str(data_path("k4.txt")), "--size", "4",
+                             "--samples", "100", "--seed", "-5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: seed must be a nonnegative integer, got -5\n"
 
 
 def test_sample_target_cv_reports_reason(capsys):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -10,7 +11,8 @@ from motifcensus import (FrameKind, FrameTotals, arrcode_table, estimator,
                          exact_census, frame_sampler, frame_totals,
                          kinds_for_size, koef_table, loads_graph,
                          optimal_lambda, run_sampled_census)
-from oracles import estimate_rows, random_graph
+from motifcensus.frames import CHUNK
+from oracles import estimate_rows, random_graph, single_estimate
 
 
 def _estimates(size, totals, n, hits):
@@ -179,6 +181,13 @@ def test_run_requires_a_stopping_rule(k4):
             run_sampled_census(k4, 4, budget=10, target_cv=target, seed=1)
 
 
+def test_run_refuses_a_seed_that_is_not_a_nonnegative_integer(k4):
+    for seed in (-5, 1.5, "7"):
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative "
+                           f"integer, got {seed}$"):
+            run_sampled_census(k4, 4, budget=10, seed=seed)
+
+
 def test_run_with_zero_budget_reports_nothing(k4):
     report = run_sampled_census(k4, 4, budget=0, seed=3)
     assert report.motifs == []
@@ -201,17 +210,11 @@ def test_run_on_clique_detects_it_exactly(k4):
 
 
 def test_run_spends_the_budget(k4):
-    report = run_sampled_census(k4, 4, budget=4001, seed=6)
-    spent = sum(e["n_experiments"] for e in report.experiments.values())
-    assert spent == 4001
-    split = sorted(e["n_experiments"] for e in report.experiments.values())
-    assert split == [2000, 2001]
-
-
-def test_chain_share_controls_the_split(k4):
-    report = run_sampled_census(k4, 4, budget=1000, seed=6, chain_share=0.25)
-    assert report.experiments["chain"]["n_experiments"] == 250
-    assert report.experiments["trident"]["n_experiments"] == 750
+    # chains get half the budget rounded half to even, tridents the rest
+    for budget, chains in ((4001, 2000), (4003, 2002)):
+        report = run_sampled_census(k4, 4, budget=budget, seed=6)
+        spent = {k: e["n_experiments"] for k, e in report.experiments.items()}
+        assert spent == {"chain": chains, "trident": budget - chains}
 
 
 def test_run_without_tridents_gives_chains_the_budget(k3):
@@ -236,47 +239,27 @@ def test_run_is_deterministic(k4):
     da.pop("elapsed")
     db.pop("elapsed")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
-    c = run_sampled_census(k4, 4, budget=3000, seed=12)
-    assert c.to_json() != a.to_json()
-
-
-def test_budget_report_does_not_depend_on_the_batch_size():
-    # batch_size only spaces the stop rule's checks; a round bigger than
-    # DEFAULT_BATCH_SIZE is drawn in slices, from the same stream
-    g = random_graph(np.random.default_rng(66), 40, 0.2, directed=False)
-    drawn = []
-    for kind in kinds_for_size(4):
-        sampler = frame_sampler(g, kind)
-
-        def draw(rng, m, real=sampler.sample_batch):
-            drawn.append(m)
-            return real(rng, m)
-        sampler.sample_batch = draw
-    reports = []
-    for batch_size in (7, 400, estimator.DEFAULT_BATCH_SIZE, 10 ** 9):
-        run = run_sampled_census(g, 4, budget=50_001, seed=8,
-                                 batch_size=batch_size).to_dict()
-        del run["elapsed"], run["batch_size"]
-        reports.append(run)
-    assert all(run == reports[0] for run in reports)
-    assert max(drawn) == estimator.DEFAULT_BATCH_SIZE
+    c = run_sampled_census(k4, 4, budget=3000, seed=12).to_dict()
+    c.pop("elapsed")
+    assert json.dumps(c, sort_keys=True) != json.dumps(da, sort_keys=True)
 
 
 def test_target_cv_stops_early(k3):
-    # on a triangle every fork detects the triangle: cv hits 0 immediately
+    # on a triangle every fork detects the triangle: cv hits 0 after the
+    # first round
     report = run_sampled_census(k3, 3, budget=100_000, target_cv=0.05,
-                                seed=17, batch_size=1000)
+                                seed=17)
     assert report.stop_reason == "target_cv"
-    assert report.experiments["fork"]["n_experiments"] == 1000
+    assert report.experiments["fork"]["n_experiments"] == CHUNK == 10_000
 
 
 def test_unreachable_target_exhausts_the_budget():
     rng = np.random.default_rng(19)
     g = random_graph(rng, 30, 0.2, directed=False)
-    report = run_sampled_census(g, 3, budget=3000, target_cv=1e-9, seed=19,
-                                batch_size=1000)
+    report = run_sampled_census(g, 3, budget=25_000, target_cv=1e-9,
+                                seed=19)
     assert report.stop_reason == "budget"
-    assert report.experiments["fork"]["n_experiments"] == 3000
+    assert report.experiments["fork"]["n_experiments"] == 25_000
 
 
 def test_stop_rule_holds_classes_detected_five_times():
@@ -302,18 +285,47 @@ def test_target_without_a_budget_stops_at_the_frame_totals():
         run_sampled_census(g, 3, target_cv=1e-6, seed=1)
 
 
+# (vertices, edge probability, target CV) of a graph on which a run of the
+# size meets the target in its second round, short of every frame total
+UNBOUNDED_RUNS = {3: (400, 0.03, 0.05), 4: (100, 0.15, 0.1)}
+
+
 @pytest.mark.parametrize("size", [3, 4])
 def test_target_met_before_the_frame_totals_draws_as_unbounded(size):
-    g = random_graph(np.random.default_rng(63), 60, 0.15, directed=False)
-    runs = [run_sampled_census(g, size, budget, target_cv=0.3, seed=4,
-                               batch_size=200).to_dict()
+    n_vertices, p, target = UNBOUNDED_RUNS[size]
+    g = random_graph(np.random.default_rng(63), n_vertices, p,
+                     directed=False)
+    runs = [run_sampled_census(g, size, budget, target_cv=target,
+                               seed=4).to_dict()
             for budget in (None, 10 ** 9)]
     for run in runs:
         del run["elapsed"], run["budget"]
     assert runs[0]["stop_reason"] == "target_cv"
-    assert all(e["n_experiments"] < e["frame_total"]
+    assert all(2 * CHUNK == e["n_experiments"] < e["frame_total"]
                for e in runs[0]["experiments"].values())
     assert runs[0] == runs[1]
+
+
+def test_cv_is_at_most_one_over_the_root_of_the_detections():
+    # one kind alone gives cv^2 = (1 - C/N) / C <= 1/C, and the mixture's
+    # cv is no larger than either kind's: so a class its best kind detected
+    # C times has cv <= 1/sqrt(C), and a stop rule that tracked only
+    # classes with 1/target^2 detections would hold none to the target
+    rng = np.random.default_rng(67)
+    checked = 0
+    for directed in (False, True):
+        for seed in range(6):
+            g = random_graph(rng, int(rng.integers(12, 30)),
+                             float(rng.uniform(0.15, 0.4)), directed)
+            for size in (3, 4):
+                report = run_sampled_census(
+                    g, size, budget=int(rng.integers(20, 5_000)), seed=seed)
+                for m in report.motifs:
+                    if m["cv"] is not None:
+                        c = max(m["detections"].values())
+                        assert m["cv"] * math.sqrt(c) <= 1 + 1e-12
+                        checked += 1
+    assert checked > 100
 
 
 ORACLE_GRAPHS = {
@@ -325,11 +337,10 @@ ORACLE_GRAPHS = {
 }
 ORACLE_RUNS = [
     (name, size, run) for name in ORACLE_GRAPHS for size in (3, 4)
-    for run in ({"budget": 3_001},
-                {"budget": 40_000, "target_cv": 0.1, "batch_size": 500},
-                {"budget": 4_000, "chain_share": 0.0},
-                {"budget": 4_000, "chain_share": 1.0})
-    if size == 4 or "chain_share" not in run]
+    for run in ({"budget": 3_001}, {"budget": 40_000, "target_cv": 0.1})
+    # chains get no experiments of a budget of 1; a budget above two
+    # chunks per kind takes three draws of each
+    + (({"budget": 1}, {"budget": 40_003}) if size == 4 else ())]
 
 
 @pytest.mark.parametrize("name,size,run", ORACLE_RUNS)
@@ -343,6 +354,10 @@ def test_report_rows_match_the_scalar_oracle(name, size, run):
 
 
 def test_public_api_is_pinned():
+    # a sampled run is set by its budget, its target and its seed
+    params = inspect.signature(run_sampled_census).parameters
+    assert list(params) == ["g", "size", "budget", "target_cv", "seed"]
+    assert params["seed"].kind is inspect.Parameter.KEYWORD_ONLY
     names = [
         "ArrcodeTable", "CensusReport", "EdgeListError", "ExactCensus",
         "FrameBatch", "FrameKind", "FrameTotals", "Graph", "KoefTable",
@@ -378,16 +393,21 @@ def test_estimates_are_unbiased_on_a_random_graph():
 
 
 def test_variance_estimate_tracks_spread(k4):
-    # chain experiment on K4: detection probability 1/2, known variance
-    reps = [run_sampled_census(k4, 4, budget=2000, seed=100 + s,
-                               chain_share=1.0) for s in range(30)]
+    # chain experiment on K4: detection probability 1/2, known variance;
+    # the chain-only estimate is rebuilt from each run's chain tally
+    reps = [run_sampled_census(k4, 4, budget=4000, seed=100 + s)
+            for s in range(30)]
     clique = arrcode_table(4, False).entries[0b111111]
     values = []
     predicted = []
     for rep in reps:
         row = next(m for m in rep.motifs if m["class_id"] == clique)
-        values.append(row["n_hat"])
-        predicted.append(row["variance"])
+        n_hat, variance = single_estimate(
+            row["detections"]["chain"],
+            rep.experiments["chain"]["n_experiments"],
+            rep.frame_totals.n_chain, row["koef"]["chain"])
+        values.append(n_hat)
+        predicted.append(variance)
     empirical = float(np.var(values))
     assert np.mean(predicted) == pytest.approx(empirical, rel=0.5)
 
@@ -401,15 +421,17 @@ def test_streams_are_built_only_where_they_draw(monkeypatch):
         made.append(seed)
         return real(seed)
     monkeypatch.setattr(np.random, "default_rng", counting)
-    report = run_sampled_census(g, 4, budget=1000, seed=3, batch_size=100)
-    # 500 experiments per kind in 5 rounds of 100: each kind keeps its one
+    report = run_sampled_census(g, 4, budget=50_000, seed=3)
+    # 25,000 experiments per kind in 3 rounds: each kind keeps its one
     # stream from round to round
-    assert report.experiments["chain"]["n_experiments"] == 500
-    assert report.experiments["trident"]["n_experiments"] == 500
+    assert report.experiments["chain"]["n_experiments"] == 25_000
+    assert report.experiments["trident"]["n_experiments"] == 25_000
     assert len(made) == 2
-    # a kind with no share of the budget gets no stream
+    # a kind with no share of the budget gets no stream: of a budget of 1,
+    # the chains' half rounds to 0
     made.clear()
-    run_sampled_census(g, 4, budget=1000, seed=3, chain_share=0.0)
+    report = run_sampled_census(g, 4, budget=1, seed=3)
+    assert report.experiments["chain"]["n_experiments"] == 0
     assert len(made) == 1
 
 
@@ -426,23 +448,26 @@ def test_traced_entry_points_see_every_frame(monkeypatch, size, directed):
         classified.append(vertices.shape[1])
         return real_codes(graph, vertices)
     monkeypatch.setattr(estimator, "induced_subgraph_codes", codes)
-    drawn = dict.fromkeys(kinds_for_size(size), 0)
-    for kind in drawn:
+    draws = {kind: [] for kind in kinds_for_size(size)}
+    for kind in draws:
         sampler = frame_sampler(g, kind)
 
         def draw(rng, m, kind=kind, real=sampler.sample_batch):
-            drawn[kind] += m
+            draws[kind].append(m)
             return real(rng, m)
         sampler.sample_batch = draw
-    report = run_sampled_census(g, size, budget=3_001, seed=5,
-                                batch_size=400)
+    report = run_sampled_census(g, size, budget=40_001, seed=5)
     spent = {FrameKind(k): e["n_experiments"]
              for k, e in report.experiments.items()}
-    assert drawn == {k: spent[k] for k in drawn}
-    assert all(drawn.values())
+    # one draw of at most a chunk per kind and round; at size 4 the
+    # chains' 20,000 are spent a round before the tridents' 20,001
+    for kind, calls in draws.items():
+        whole, rest = divmod(spent[kind], CHUNK)
+        assert whole >= 2
+        assert calls == [CHUNK] * whole + [rest] * (rest > 0)
     degenerate = sum(e.get("degenerate", 0)
                      for e in report.experiments.values())
-    assert sum(classified) == sum(drawn.values()) - degenerate
+    assert sum(classified) == sum(spent.values()) - degenerate
     assert degenerate > 0 or size == 3
 
 
@@ -458,7 +483,7 @@ SEEDED_RUN = (100, {3: (0, 417), 6: (479, 0), 7: (332, 602), 8: (149, 0),
 
 def test_seeded_streams_are_unchanged():
     g = random_graph(np.random.default_rng(61), 14, 0.35, directed=False)
-    report = run_sampled_census(g, 4, budget=2_501, seed=17, batch_size=400)
+    report = run_sampled_census(g, 4, budget=2_501, seed=17)
     degenerate, detections = SEEDED_RUN
     assert report.experiments["chain"]["degenerate"] == degenerate
     assert {m["class_id"]: (m["detections"]["chain"],

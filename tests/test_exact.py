@@ -5,8 +5,7 @@ import pytest
 
 from motifcensus import (FrameKind, Graph, arrcode_table, exact,
                          exact_census, frame_totals, koef_table, loads_graph)
-from motifcensus.exact import _FLUSH
-from motifcensus.frames import FrameSet
+from motifcensus.frames import CHUNK, FrameSet
 from oracles import (brute_force_census, common_neighbor_pairs, frame_keys,
                      frames_brute, random_graph)
 
@@ -146,7 +145,7 @@ def test_clique_chains_span_three_chunks(monkeypatch):
     calls = _count_classify_calls(monkeypatch)
     table = arrcode_table(4, False)
     assert nonzero(exact_census(k16, 4)) == {table.entries[0b111111]: 1820}
-    assert frame_totals(k16).n_chain == 23_520 > 2 * _FLUSH
+    assert frame_totals(k16).n_chain == 23_520 > 2 * CHUNK
     assert len(calls) == 3 + 1  # chain chunks, then one trident chunk
     assert sum(calls[:3]) == 23_520 - 1_680
     assert nonzero(exact_census(k16, 3)) == \
@@ -154,14 +153,14 @@ def test_clique_chains_span_three_chunks(monkeypatch):
 
 
 def test_star_tridents_span_two_chunks(monkeypatch):
-    # K_{1,40}: C(40, 3) = 9,880 tridents and no chains; only tridents
+    # K_{1,41}: C(41, 3) = 10,660 tridents and no chains; only tridents
     # see the star class
-    star = Graph.from_edges(41, [(0, i) for i in range(1, 41)])
+    star = Graph.from_edges(42, [(0, i) for i in range(1, 42)])
     calls = _count_classify_calls(monkeypatch)
     table = arrcode_table(4, False)
     assert nonzero(exact_census(star, 4)) == \
-        {table.entries[0b000111]: 9880}
-    assert calls == [_FLUSH, 9880 - _FLUSH]
+        {table.entries[0b000111]: 10_660}
+    assert calls == [CHUNK, 10_660 - CHUNK] == [10_000, 660]
 
 
 def test_inconsistent_hits_raise(monkeypatch):
