@@ -21,8 +21,6 @@ from .graphs import pair_slots
 
 @dataclass(frozen=True)
 class MotifClass:
-    size: int
-    directed: bool
     class_id: int
     canonical_code: int
     connected: bool
@@ -113,7 +111,7 @@ def _build_arrcode(size: int, directed: bool) -> ArrcodeTable:
     entries = np.searchsorted(canonical, canon).astype(np.int16)
     entries.setflags(write=False)
     classes = tuple(
-        MotifClass(size, directed, cid, int(c), _is_connected(int(c), size, slots))
+        MotifClass(cid, int(c), _is_connected(int(c), size, slots))
         for cid, c in enumerate(canonical))
     return ArrcodeTable(size, directed, entries, classes)
 

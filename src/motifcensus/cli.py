@@ -51,8 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p_sample)
     p_sample.add_argument("--size", type=int, choices=(3, 4), required=True)
     p_sample.add_argument("--samples", type=int, default=None,
-                          help="total experiment budget; size 4 splits it "
-                               "evenly between chains and tridents")
+                          help="total experiment budget, at most 2**63 - 1; "
+                               "size 4 splits it evenly between chains and "
+                               "tridents")
     p_sample.add_argument("--target-cv", type=float, default=None,
                           help="stop once well-observed classes reach this "
                                "coefficient of variation (positive and "

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon import arrcode_table
-from .frames import (CHUNK, FrameKind, FrameTotals, KoefTable,
+from .frames import (_INT64_MAX, CHUNK, FrameKind, FrameTotals, KoefTable,
                      frame_sampler, frame_totals, kinds_for_size, koef_table)
 from .graphs import Graph, induced_subgraph_codes
 
@@ -153,9 +153,10 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     Args:
         g: input graph.
         size: motif size, 3 or 4.
-        budget: total number of experiments across frame kinds; for size 4
-            chains get half of it, rounded half to even, and tridents the
-            rest.  May be omitted when target_cv is given.
+        budget: total number of experiments across frame kinds, at most
+            2**63 - 1; for size 4 chains get half of it, rounded half to
+            even, and tridents the rest.  May be omitted when target_cv is
+            given.
         target_cv: stop after the first round in which every class
             detected at least 5 times has cv at or below this value, which
             must be positive and finite.  Without a budget, each kind draws
@@ -174,8 +175,8 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if budget is None and target_cv is None:
         raise ValueError("need a sample budget or a target CV")
-    if budget is not None and budget < 0:
-        raise ValueError("budget must be nonnegative")
+    if budget is not None and not 0 <= budget <= _INT64_MAX:
+        raise ValueError("budget must be between 0 and 2**63 - 1")
     if target_cv is not None and not 0 < target_cv < math.inf:
         raise ValueError(f"target CV must be positive and finite, "
                          f"got {target_cv}")
@@ -200,7 +201,8 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
         remaining = {active[0]: budget}
     else:
         # an even split; an odd budget's half rounds half to even
-        chain_budget = round(budget / 2)
+        half, odd = divmod(budget, 2)
+        chain_budget = half + (odd and half % 2)
         remaining = {FrameKind.CHAIN: chain_budget,
                      FrameKind.TRIDENT: budget - chain_budget}
 

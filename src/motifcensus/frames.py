@@ -93,7 +93,6 @@ class FrameBatch:
     chain    (end, middle, middle, end); degenerate when the ends coincide
     """
 
-    kind: FrameKind
     vertices: np.ndarray
     degenerate: np.ndarray
 
@@ -210,7 +209,7 @@ class FrameSet:
             ib += ib >= g.edge_pos_in_v[i]  # skip u in v's row
             a = g.adj_flat[g.adj_offsets[u] + ia]
             b = g.adj_flat[g.adj_offsets[v] + ib]
-            return FrameBatch(self.kind, np.stack([a, u, v, b]), a == b)
+            return FrameBatch(np.stack([a, u, v, b]), a == b)
         row = g.adj_offsets[i]
         if self.kind is FrameKind.FORK:
             a, b = g.adj_flat[row + np.stack(_colex_pair(r))]
@@ -218,7 +217,7 @@ class FrameSet:
         else:
             leaves = g.adj_flat[row + np.stack(_colex_triple(r))]
             verts = np.vstack([i, leaves])
-        return FrameBatch(self.kind, verts, np.zeros(t.size, dtype=bool))
+        return FrameBatch(verts, np.zeros(t.size, dtype=bool))
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> FrameBatch:
         """Uniform frames: integer ranks keep every frame equally likely."""

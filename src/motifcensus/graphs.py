@@ -1,10 +1,12 @@
 """Simple-graph loading, normalization, and induced-subgraph bitmask codes.
 
 Vertices are remapped to dense ids 0..n-1 in order of first appearance; the
-original labels are kept so the mapping is invertible.  Adjacency lives in a
-sorted CSR layout over the undirected view.  Directed graphs additionally
-keep their arc set, and a pair of reciprocal arcs collapses to a single
-undirected edge; degrees always refer to the collapsed view.
+original labels are kept so the mapping is invertible.  Each edge {u, v}
+of the undirected view is two half-edges, keyed u * n + v and v * n + u;
+the sorted, distinct half-edge keys are the CSR adjacency, whose rows are
+then sorted by neighbor.  Directed graphs additionally keep their arc set,
+and a pair of reciprocal arcs collapses to a single undirected edge;
+degrees always refer to the collapsed view.
 
 A set of 3 or 4 vertices maps to an integer code, one bit per vertex pair
 (ordered pairs for directed graphs).  Pairs are enumerated in lexicographic
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -97,9 +99,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n_vertices: int, pairs: Iterable[tuple[int, int]],
-                   directed: bool = False,
-                   labels: Sequence[str] | None = None) -> "Graph":
-        """Build a graph from integer vertex pairs.
+                   directed: bool = False) -> "Graph":
+        """Build a graph from integer vertex pairs, labelled "0" .. "n-1".
 
         Self-loops are dropped and duplicate pairs are deduplicated; for
         undirected graphs (u, v) and (v, u) are the same pair.
@@ -113,13 +114,7 @@ class Graph:
             raise ValueError("pairs must be (u, v) tuples")
         if arr.size and (arr.min() < 0 or arr.max() >= n_vertices):
             raise ValueError("vertex id out of range")
-        if labels is None:
-            labels = tuple(str(i) for i in range(n_vertices))
-        else:
-            labels = tuple(labels)
-            if len(labels) != n_vertices:
-                raise ValueError("labels length must match vertex count")
-        return _build(arr, labels, directed)
+        return _build(arr, tuple(str(i) for i in range(n_vertices)), directed)
 
     # -- basic queries ----------------------------------------------------
 
@@ -128,52 +123,47 @@ class Graph:
         return int(self.edge_u.size)
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an int64 array."""
+    keys = np.sort(keys)
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def _build(arr: np.ndarray, labels: tuple, directed: bool) -> Graph:
     n = len(labels)
     loops = arr[:, 0] == arr[:, 1]
-    self_loops = int(loops.sum())
-    arr = arr[~loops]
-
+    pairs = arr[~loops]
+    u, v = pairs.T
     arc_keys = np.empty(0, dtype=np.int64)
     if directed:
-        raw = arr[:, 0] * n + arr[:, 1]
-        arc_keys = np.unique(raw)
-        duplicates = int(raw.size - arc_keys.size)
-        lo = np.minimum(arc_keys // n, arc_keys % n)
-        hi = np.maximum(arc_keys // n, arc_keys % n)
-        edge_keys = np.unique(lo * n + hi)
-    else:
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        raw = lo * n + hi
-        edge_keys = np.unique(raw)
-        duplicates = int(raw.size - edge_keys.size)
+        arc_keys = _distinct(u * n + v)
+        u, v = np.divmod(arc_keys, n)
 
-    edge_u = edge_keys // n
-    edge_v = edge_keys % n
-    m = edge_u.size
-
-    # doubled half-edges, sorted by (vertex, neighbor): CSR with sorted rows
-    du = np.concatenate([edge_u, edge_v])
-    dv = np.concatenate([edge_v, edge_u])
-    order = np.argsort(du * n + dv) if m else np.empty(0, dtype=np.int64)
-    adj_flat = dv[order]
-    degrees = np.bincount(du, minlength=n).astype(np.int64)
+    half = _distinct(np.concatenate([u * n + v, v * n + u]))
+    row, adj_flat = np.divmod(half, n)
+    degrees = np.bincount(row, minlength=n).astype(np.int64)
     adj_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=adj_offsets[1:])
 
-    pos = np.empty(2 * m, dtype=np.int64)
-    pos[order] = np.arange(2 * m, dtype=np.int64)
-    pos_in_row = pos - adj_offsets[du]
-    edge_pos_in_u = pos_in_row[:m]
-    edge_pos_in_v = pos_in_row[m:]
+    forward = row < adj_flat
+    edge_keys = half[forward]
+    edge_u, edge_v = row[forward], adj_flat[forward]
+    edge_pos_in_u = np.flatnonzero(forward) - adj_offsets[edge_u]
+    # the half-edges (v, u), put in the order of their edges (u, v)
+    back = np.flatnonzero(~forward)
+    back = back[np.argsort(adj_flat[back] * n + row[back])]
+    edge_pos_in_v = back - adj_offsets[edge_v]
 
+    kept = arc_keys.size if directed else edge_keys.size
     report = LoadReport(
         n_vertices=n,
-        n_edges=int(m),
+        n_edges=int(edge_keys.size),
         n_arcs=int(arc_keys.size) if directed else None,
-        self_loops_dropped=self_loops,
-        duplicates_dropped=duplicates,
+        self_loops_dropped=int(loops.sum()),
+        duplicates_dropped=int(len(pairs) - kept),
     )
     return Graph(directed=directed, labels=labels, degrees=degrees,
                  adj_offsets=adj_offsets, adj_flat=adj_flat,
@@ -189,30 +179,21 @@ def loads_graph(text: str, directed: bool = False) -> Graph:
     with '#' are skipped.  Labels may be arbitrary tokens, not only ints.
     """
     ids: dict[str, int] = {}
-    labels: list[str] = []
-    us: list[int] = []
-    vs: list[int] = []
+    flat: list[int] = []
     for line_no, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = stripped.split()
         if len(tokens) != 2:
             raise EdgeListError(
                 f"expected two vertex labels, got {len(tokens)}", line_no)
-        pair = []
-        for tok in tokens:
-            if tok not in ids:
-                ids[tok] = len(labels)
-                labels.append(tok)
-            pair.append(ids[tok])
-        us.append(pair[0])
-        vs.append(pair[1])
-    if not us:
+        u, v = tokens
+        flat.append(ids.setdefault(u, len(ids)))
+        flat.append(ids.setdefault(v, len(ids)))
+    if not flat:
         raise EdgeListError("empty edge list")
-    arr = np.stack([np.asarray(us, dtype=np.int64),
-                    np.asarray(vs, dtype=np.int64)], axis=1)
-    return _build(arr, tuple(labels), directed)
+    arr = np.array(flat, dtype=np.int64).reshape(-1, 2)
+    return _build(arr, tuple(ids), directed)
 
 
 def load_graph(source: str | Path | IO[str], directed: bool = False) -> Graph:

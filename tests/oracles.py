@@ -40,6 +40,45 @@ def dumps_graph(g: Graph) -> str:
                    for a, b in pairs)
 
 
+def parse_edge_list(text: str, directed: bool) -> dict:
+    """Edge-list text parsed line by line into Python sets.
+
+    A line is skipped when blank or when it starts with '#' after leading
+    whitespace; every other line must hold two labels.  Returns
+    {"line_no": k} for the first line that does not ({"line_no": None} for
+    input with no pair at all), else labels in order of first appearance,
+    "pairs" as a dict of dense id -> set of out-neighbors (directed) or of
+    higher neighbors (undirected), and the self-loop and duplicate counts.
+    """
+    ids = {}
+    pairs = {}
+    loops = duplicates = 0
+    for line_no, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if line == "" or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            return {"line_no": line_no}
+        for tok in tokens:
+            if tok not in ids:
+                ids[tok] = len(ids)
+                pairs[ids[tok]] = set()
+        u, v = ids[tokens[0]], ids[tokens[1]]
+        if u == v:
+            loops += 1
+            continue
+        if not directed:
+            u, v = min(u, v), max(u, v)
+        if v in pairs[u]:
+            duplicates += 1
+        pairs[u].add(v)
+    if not ids:
+        return {"line_no": None}
+    return {"labels": tuple(ids), "pairs": pairs, "self_loops": loops,
+            "duplicates": duplicates}
+
+
 def random_graph(rng: np.random.Generator, n: int, p: float,
                  directed: bool) -> Graph:
     """Dense-id G(n, p); keeps isolated vertices."""

@@ -224,6 +224,15 @@ def test_sample_rejects_a_negative_seed(capsys):
     assert err == "error: seed must be a nonnegative integer, got -5\n"
 
 
+def test_sample_rejects_a_budget_above_int64(capsys):
+    code, out, err = run_cli(capsys, "sample", "-i",
+                             str(data_path("k4.txt")), "--size", "4",
+                             "--samples", "1" + "0" * 400)
+    assert code == 1
+    assert out == ""
+    assert err == "error: budget must be between 0 and 2**63 - 1\n"
+
+
 def test_sample_target_cv_reports_reason(capsys):
     code, out, _ = run_cli(capsys, "sample", "-i", str(data_path("k3.txt")),
                            "--size", "3", "--target-cv", "0.05",

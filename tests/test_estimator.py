@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import motifcensus
-from motifcensus import (FrameKind, FrameTotals, arrcode_table, estimator,
-                         exact_census, frame_sampler, frame_totals,
+from motifcensus import (FrameKind, FrameTotals, Graph, arrcode_table,
+                         estimator, exact_census, frame_sampler, frame_totals,
                          kinds_for_size, koef_table, loads_graph,
                          optimal_lambda, run_sampled_census)
 from motifcensus.frames import CHUNK
@@ -179,6 +179,19 @@ def test_run_requires_a_stopping_rule(k4):
     for target in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             run_sampled_census(k4, 4, budget=10, target_cv=target, seed=1)
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_run_refuses_a_budget_above_int64(k4, size):
+    for budget in (2 ** 63, 2 ** 70, 10 ** 400):
+        with pytest.raises(ValueError, match=r"^budget must be between 0 "
+                           r"and 2\*\*63 - 1$"):
+            run_sampled_census(k4, size, budget=budget, seed=1)
+    # the largest budget splits in integers and runs until the target
+    report = run_sampled_census(k4, size, budget=2 ** 63 - 1, target_cv=0.5,
+                                seed=1)
+    assert report.stop_reason == "target_cv"
+    assert report.budget == 2 ** 63 - 1
 
 
 def test_run_refuses_a_seed_that_is_not_a_nonnegative_integer(k4):
@@ -358,6 +371,9 @@ def test_public_api_is_pinned():
     params = inspect.signature(run_sampled_census).parameters
     assert list(params) == ["g", "size", "budget", "target_cv", "seed"]
     assert params["seed"].kind is inspect.Parameter.KEYWORD_ONLY
+    # a graph built from pairs is labelled by its dense ids
+    assert list(inspect.signature(Graph.from_edges).parameters) == [
+        "n_vertices", "pairs", "directed"]
     names = [
         "ArrcodeTable", "CensusReport", "EdgeListError", "ExactCensus",
         "FrameBatch", "FrameKind", "FrameTotals", "Graph", "KoefTable",

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motifcensus import (EdgeListError, Graph, induced_subgraph_codes,
                          loads_graph, pair_slots)
-from oracles import arcs, dumps_graph, induced_code, random_graph
+from oracles import (arcs, dumps_graph, induced_code, parse_edge_list,
+                     random_graph)
 
 
 def _row(g, v):
@@ -115,6 +118,74 @@ def test_dump_load_round_trip():
         h = loads_graph(dumps_graph(g), directed=directed)
         assert h.n_edges == g.n_edges
         assert _label_pairs(h) == _label_pairs(g)
+
+
+# labels drawn from a few characters, so that they repeat, and with '#'
+# among them: a '#' starts a comment only as a line's first non-blank
+# character, and elsewhere it is part of a label
+TOKENS = st.text(alphabet="01ab#_\u00e9", min_size=1, max_size=3)
+GAP = st.sampled_from([" ", "\t", "  ", " \t "])
+MARGIN = st.sampled_from(["", " ", "\t"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text with self-loops, repeats, reciprocal pairs, comments,
+    blank lines, tabs, CRLF and the odd 1- or 3-token line."""
+    label = st.sampled_from(draw(st.lists(TOKENS, min_size=1, max_size=6)))
+    pairs = draw(st.lists(st.tuples(label, label), min_size=1, max_size=12))
+    pairs += [(v, u) for u, v in draw(st.lists(st.sampled_from(pairs),
+                                                 max_size=4))]
+    lines = [draw(MARGIN) + u + draw(GAP) + v + draw(MARGIN)
+             for u, v in pairs]
+    lines += draw(st.lists(MARGIN.map(lambda m: m + "#") | MARGIN, max_size=3))
+    lines += [draw(MARGIN) + "#" + draw(GAP).join(words) for words in
+              draw(st.lists(st.lists(TOKENS, max_size=3), max_size=2))]
+    lines += [draw(GAP).join(words) for words in draw(st.lists(
+        st.lists(TOKENS, min_size=1, max_size=3).filter(
+            lambda words: len(words) != 2), max_size=1))]
+    lines = draw(st.permutations(lines))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(edge_list_texts())
+def test_loader_matches_the_reference_parser(text):
+    for directed in (False, True):
+        want = parse_edge_list(text, directed)
+        if "line_no" in want:
+            with pytest.raises(EdgeListError) as exc:
+                loads_graph(text, directed)
+            assert exc.value.line_no == want["line_no"]
+            continue
+        g = loads_graph(text, directed)
+        n = len(want["labels"])
+        pairs = sorted((u, v) for u, vs in want["pairs"].items() for v in vs)
+        edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+        assert g.labels == want["labels"]
+        assert g.n_vertices == n
+        if directed:
+            assert arcs(g).tolist() == [list(p) for p in pairs]
+        assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == edges
+        assert g.edge_keys.tolist() == [u * n + v for u, v in edges]
+        neighbors = [set() for _ in range(n)]
+        for u, v in edges:
+            neighbors[u].add(v)
+            neighbors[v].add(u)
+        for v in range(n):
+            assert _row(g, v).tolist() == sorted(neighbors[v])
+        assert g.degrees.tolist() == [len(s) for s in neighbors]
+        for e, (u, v) in enumerate(edges):
+            assert _row(g, u)[g.edge_pos_in_u[e]] == v
+            assert _row(g, v)[g.edge_pos_in_v[e]] == u
+        assert g.load_report.to_dict() == {
+            "n_vertices": n, "n_edges": len(edges),
+            "n_arcs": len(pairs) if directed else None,
+            "self_loops_dropped": want["self_loops"],
+            "duplicates_dropped": want["duplicates"]}
 
 
 def test_from_edges_keeps_isolated_vertices():
