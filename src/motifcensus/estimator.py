@@ -221,9 +221,9 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
                 continue
             remaining[kind] -= m
             n[kind] += m
-            batch = samplers[kind].sample_batch(rng, m)
             codes = induced_subgraph_codes(
-                g, batch.vertices[:, ~batch.degenerate])
+                g, samplers[kind].sample_batch(rng, m).open_vertices,
+                kind=kind)
             hits[kind] += np.bincount(table.entries[codes],
                                       minlength=table.n_classes)
         if target_cv is not None:

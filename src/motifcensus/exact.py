@@ -50,10 +50,10 @@ def exact_census(g: Graph, size: int) -> ExactCensus:
         hits = np.zeros(table.n_classes, dtype=np.int64)
         frames = FrameSet(g, kind)
         for start in range(0, frames.total, CHUNK):
-            batch = frames.unrank(np.arange(
-                start, min(start + CHUNK, frames.total), dtype=np.int64))
-            codes = induced_subgraph_codes(
-                g, batch.vertices[:, ~batch.degenerate])
+            # no name keeps a chunk's frames alive into the next unrank
+            codes = induced_subgraph_codes(g, frames.unrank(np.arange(
+                start, min(start + CHUNK, frames.total),
+                dtype=np.int64)).open_vertices, kind=kind)
             hits += np.bincount(table.entries[codes],
                                 minlength=table.n_classes)
         koef = koefs.counts[kind]

@@ -46,6 +46,15 @@ class FrameKind(str, Enum):
     def size(self) -> int:
         return 3 if self is FrameKind.FORK else 4
 
+    @property
+    def tree_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Rows i < j of a FrameBatch column that every frame joins."""
+        if self is FrameKind.FORK:
+            return ((0, 1), (1, 2))
+        if self is FrameKind.TRIDENT:
+            return ((0, 1), (0, 2), (0, 3))
+        return ((0, 1), (1, 2), (2, 3))
+
 
 def kinds_for_size(size: int) -> tuple[FrameKind, ...]:
     """Frame kinds that span motifs of the given size, in experiment order."""
@@ -99,6 +108,14 @@ class FrameBatch:
     @property
     def size(self) -> int:
         return int(self.vertices.shape[1])
+
+    @property
+    def open_vertices(self) -> np.ndarray:
+        """The columns of the frames that are not degenerate; no copy when
+        none is."""
+        if self.degenerate.any():
+            return self.vertices[:, ~self.degenerate]
+        return self.vertices
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -220,9 +237,16 @@ class FrameSet:
         return FrameBatch(verts, np.zeros(t.size, dtype=bool))
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> FrameBatch:
-        """Uniform frames: integer ranks keep every frame equally likely."""
-        return self.unrank(rng.integers(0, self.total, size=size,
-                                        dtype=np.int64))
+        """Uniform frames: integer ranks keep every frame equally likely.
+
+        The ranks are unranked in increasing order, so the lookups into the
+        cumulative weights and the CSR rows run forward through memory.
+        Reports do not change: a round tallies its codes with bincount,
+        which does not depend on their order.
+        """
+        t = rng.integers(0, self.total, size=size, dtype=np.int64)
+        t.sort()
+        return self.unrank(t)
 
 
 def frame_sampler(g: Graph, kind: FrameKind) -> FrameSet:
@@ -283,7 +307,7 @@ def koef_table(size: int, directed: bool = False) -> KoefTable:
     for kind in kinds_for_size(size):
         frames = FrameSet(reps, kind)
         batch = frames.unrank(np.arange(frames.total, dtype=np.int64))
-        vals = np.bincount(batch.vertices[0, ~batch.degenerate] // size,
+        vals = np.bincount(batch.open_vertices[0] // size,
                            minlength=table.n_classes)
         vals.setflags(write=False)
         counts[kind] = vals

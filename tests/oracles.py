@@ -155,6 +155,14 @@ def frame_keys(g: Graph, kind: FrameKind, vertices) -> np.ndarray:
     return ((v[1] * n + v[2]) * n + v[0]) * n + v[3]
 
 
+def are_open_frames(g: Graph, kind: FrameKind, vertices) -> bool:
+    """Whether every column is a non-degenerate frame of kind, in the
+    FrameBatch layout, by its key among the plain-loop frames."""
+    real = [v for v, degenerate in frames_brute(g, kind) if not degenerate]
+    want = frame_keys(g, kind, np.array(real, dtype=np.int64).T)
+    return set(frame_keys(g, kind, vertices).tolist()) <= set(want.tolist())
+
+
 def connected_sets_brute(g: Graph, size: int) -> list:
     """All connected vertex sets of one size, by checking every subset."""
     adj = neighbor_sets(g)

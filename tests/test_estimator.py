@@ -12,7 +12,8 @@ from motifcensus import (FrameKind, FrameTotals, Graph, arrcode_table,
                          kinds_for_size, koef_table, loads_graph,
                          optimal_lambda, run_sampled_census)
 from motifcensus.frames import CHUNK
-from oracles import estimate_rows, random_graph, single_estimate
+from oracles import (are_open_frames, estimate_rows, random_graph,
+                     single_estimate)
 
 
 def _estimates(size, totals, n, hits):
@@ -457,12 +458,13 @@ def test_traced_entry_points_see_every_frame(monkeypatch, size, directed):
     # sample_batch of each sampler in frame_sampler's per-graph cache; a
     # census that went round either would read zero in those layers
     g = random_graph(np.random.default_rng(62), 20, 0.3, directed)
-    classified = []
+    classified = dict.fromkeys(kinds_for_size(size), 0)
     real_codes = estimator.induced_subgraph_codes
 
-    def codes(graph, vertices):
-        classified.append(vertices.shape[1])
-        return real_codes(graph, vertices)
+    def codes(graph, vertices, *, kind):
+        assert are_open_frames(graph, kind, vertices)
+        classified[kind] += vertices.shape[1]
+        return real_codes(graph, vertices, kind=kind)
     monkeypatch.setattr(estimator, "induced_subgraph_codes", codes)
     draws = {kind: [] for kind in kinds_for_size(size)}
     for kind in draws:
@@ -481,10 +483,11 @@ def test_traced_entry_points_see_every_frame(monkeypatch, size, directed):
         whole, rest = divmod(spent[kind], CHUNK)
         assert whole >= 2
         assert calls == [CHUNK] * whole + [rest] * (rest > 0)
-    degenerate = sum(e.get("degenerate", 0)
-                     for e in report.experiments.values())
-    assert sum(classified) == sum(spent.values()) - degenerate
-    assert degenerate > 0 or size == 3
+    degenerate = {FrameKind(k): e.get("degenerate", 0)
+                  for k, e in report.experiments.items()}
+    assert classified == {kind: spent[kind] - degenerate[kind]
+                          for kind in classified}
+    assert size == 3 or degenerate[FrameKind.CHAIN] > 0
 
 
 # (chain degenerate, {class_id: (chain, trident) detections}) of one seeded

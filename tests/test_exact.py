@@ -6,8 +6,9 @@ import pytest
 from motifcensus import (FrameKind, Graph, arrcode_table, exact,
                          exact_census, frame_totals, koef_table, loads_graph)
 from motifcensus.frames import CHUNK, FrameSet
-from oracles import (brute_force_census, common_neighbor_pairs, frame_keys,
-                     frames_brute, random_graph)
+from oracles import (are_open_frames, brute_force_census,
+                     common_neighbor_pairs, frame_keys, frames_brute,
+                     random_graph)
 
 ALL_KINDS = (FrameKind.FORK, FrameKind.TRIDENT, FrameKind.CHAIN)
 
@@ -128,12 +129,13 @@ def test_enumerated_frame_counts(k3, k4):
 
 
 def _count_classify_calls(monkeypatch):
+    # (kind passed, frames classified) per call
     calls = []
     real = exact.induced_subgraph_codes
 
-    def counted(g, verts):
-        calls.append(verts.shape[1])
-        return real(g, verts)
+    def counted(g, verts, *, kind):
+        calls.append((kind, verts.shape[1]))
+        return real(g, verts, kind=kind)
     monkeypatch.setattr(exact, "induced_subgraph_codes", counted)
     return calls
 
@@ -146,8 +148,10 @@ def test_clique_chains_span_three_chunks(monkeypatch):
     table = arrcode_table(4, False)
     assert nonzero(exact_census(k16, 4)) == {table.entries[0b111111]: 1820}
     assert frame_totals(k16).n_chain == 23_520 > 2 * CHUNK
-    assert len(calls) == 3 + 1  # chain chunks, then one trident chunk
-    assert sum(calls[:3]) == 23_520 - 1_680
+    # chain chunks, then one trident chunk
+    assert [kind for kind, _ in calls] == [FrameKind.CHAIN] * 3 + \
+        [FrameKind.TRIDENT]
+    assert sum(width for _, width in calls[:3]) == 23_520 - 1_680
     assert nonzero(exact_census(k16, 3)) == \
         {arrcode_table(3, False).entries[0b111]: 560}
 
@@ -160,37 +164,46 @@ def test_star_tridents_span_two_chunks(monkeypatch):
     table = arrcode_table(4, False)
     assert nonzero(exact_census(star, 4)) == \
         {table.entries[0b000111]: 10_660}
-    assert calls == [CHUNK, 10_660 - CHUNK] == [10_000, 660]
+    assert calls == [(FrameKind.TRIDENT, CHUNK),
+                     (FrameKind.TRIDENT, 10_660 - CHUNK)]
+    assert CHUNK == 10_000
 
 
 def test_inconsistent_hits_raise(monkeypatch):
     # a classifier that calls every frame a clique breaks divisibility
     rng = np.random.default_rng(57)
     g = random_graph(rng, 9, 0.5, False)
-    monkeypatch.setattr(exact, "induced_subgraph_codes",
-                        lambda g, v: np.full(v.shape[1], 0b111111))
+    kinds = []
+
+    def clique(g, v, *, kind):
+        kinds.append(kind)
+        return np.full(v.shape[1], 0b111111)
+    monkeypatch.setattr(exact, "induced_subgraph_codes", clique)
     with pytest.raises(RuntimeError):
         exact_census(g, 4)
+    # the chains, walked first, already break it
+    assert kinds == [FrameKind.CHAIN]
 
 
 def test_traced_classification_sees_every_frame(monkeypatch):
     # a per-layer trace wraps exact.induced_subgraph_codes: every
-    # non-degenerate frame of the walk must pass through it
+    # non-degenerate frame of the walk must pass through it, with its kind
     g = random_graph(np.random.default_rng(63), 25, 0.25, directed=False)
-    classified = []
+    classified = dict.fromkeys(ALL_KINDS, 0)
     real_codes = exact.induced_subgraph_codes
 
-    def codes(graph, vertices):
-        classified.append(vertices.shape[1])
-        return real_codes(graph, vertices)
+    def codes(graph, vertices, *, kind):
+        assert are_open_frames(graph, kind, vertices)
+        classified[kind] += vertices.shape[1]
+        return real_codes(graph, vertices, kind=kind)
     monkeypatch.setattr(exact, "induced_subgraph_codes", codes)
     totals = frame_totals(g)
     exact_census(g, 3)
-    assert sum(classified) == totals.n_fork
-    classified.clear()
     exact_census(g, 4)
-    assert sum(classified) == (totals.n_chain - common_neighbor_pairs(g)
-                               + totals.n_trident)
+    assert classified == {
+        FrameKind.FORK: totals.n_fork,
+        FrameKind.CHAIN: totals.n_chain - common_neighbor_pairs(g),
+        FrameKind.TRIDENT: totals.n_trident}
 
 
 def test_census_size_validation(k4):

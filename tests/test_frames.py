@@ -165,13 +165,14 @@ def test_chain_on_path3_is_the_single_path(path3):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_a_draw_unranks_uniform_ranks(kind):
-    # a draw of n frames consumes exactly n uniform integer ranks
+    # a draw of n frames consumes exactly n uniform integer ranks, and
+    # unranks them in increasing order
     g = random_graph(np.random.default_rng(36), 14, 0.4, directed=False)
     frames = frame_sampler(g, kind)
     drawn = frames.sample_batch(np.random.default_rng(7), 500)
     ranks = np.random.default_rng(7).integers(0, frames.total, size=500,
                                               dtype=np.int64)
-    unranked = frames.unrank(ranks)
+    unranked = frames.unrank(np.sort(ranks))
     assert np.array_equal(drawn.vertices, unranked.vertices)
     assert np.array_equal(drawn.degenerate, unranked.degenerate)
 

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motifcensus import (EdgeListError, Graph, induced_subgraph_codes,
-                         loads_graph, pair_slots)
+from motifcensus import (EdgeListError, FrameKind, Graph,
+                         induced_subgraph_codes, loads_graph, pair_slots)
+from motifcensus.frames import FrameSet
+from motifcensus.graphs import _lines, _mix, _PairTable
 from oracles import (arcs, dumps_graph, induced_code, parse_edge_list,
                      random_graph)
 
@@ -188,6 +190,28 @@ def test_loader_matches_the_reference_parser(text):
             "duplicates_dropped": want["duplicates"]}
 
 
+# every line break str.splitlines knows, among a few other characters
+LINE_TEXTS = st.lists(st.sampled_from(
+    ["\r\n", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+     "\u2028", "\u2029", "a", " "]), max_size=30).map("".join)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(LINE_TEXTS)
+def test_line_blocks_split_like_splitlines(text):
+    for block in range(len(text) + 2):
+        assert list(_lines(text, block)) == text.splitlines()
+
+
+def test_loader_reads_past_a_block():
+    # 20,000 CRLF lines are about 220 KB, several blocks of lines
+    lines = [f"{i} {i + 1}\r\n" for i in range(20_000)]
+    assert loads_graph("".join(lines)).n_edges == 20_000
+    with pytest.raises(EdgeListError) as exc:
+        loads_graph("".join(lines) + "1 2 3\r\n")
+    assert exc.value.line_no == 20_001
+
+
 def test_from_edges_keeps_isolated_vertices():
     g = Graph.from_edges(5, [(0, 1)])
     assert g.n_vertices == 5
@@ -244,3 +268,54 @@ def test_code_respects_vertex_order():
     codes = {_code(g, p) for p in permutations(vs)}
     ones = {bin(c).count("1") for c in codes}
     assert len(ones) == 1  # edge count is order-free even when bits move
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    return Graph.from_edges(n, pairs, directed=draw(st.booleans()))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(small_graphs())
+def test_frame_codes_match_the_oracle(g):
+    # with its kind, a frame's tree pairs are not looked up; the codes
+    # must still be those of every pair looked up
+    for kind in (FrameKind.FORK, FrameKind.CHAIN, FrameKind.TRIDENT):
+        frames = FrameSet(g, kind)
+        batch = frames.unrank(np.arange(frames.total, dtype=np.int64))
+        verts = batch.vertices[:, ~batch.degenerate]
+        codes = induced_subgraph_codes(g, verts, kind=kind)
+        assert codes.tolist() == induced_subgraph_codes(g, verts).tolist()
+        assert codes.tolist() == [induced_code(g, col) for col in verts.T]
+        if verts.shape[1]:
+            assert induced_subgraph_codes(
+                g, verts[:, :1], kind=kind).tolist() == codes[:1].tolist()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_edgeless_graph_codes_are_zero(directed):
+    g = Graph.from_edges(6, [], directed=directed)
+    for k in (3, 4):
+        cols = np.array([[0, 1, 2, 3][:k], [5, 4, 3, 2][:k]]).T
+        assert induced_subgraph_codes(g, cols).tolist() == [0, 0]
+
+
+def test_kind_must_match_the_rows(k4):
+    with pytest.raises(ValueError, match="chains have 4 vertices"):
+        induced_subgraph_codes(k4, np.array([[0], [1], [2]]),
+                               kind=FrameKind.CHAIN)
+
+
+def test_pair_table_spills_past_its_last_home_slot():
+    # 8 keys sharing the last of 16 home slots fill it and the 7 slots
+    # after it; a probe for an absent key with that home reads all 8
+    home = _mix(np.arange(2_000, dtype=np.int64)) >> 60 == 15
+    keys = np.flatnonzero(home)[:9].astype(np.int64)
+    table = _PairTable(keys[:8], np.arange(8) % 3 + 1)
+    assert table.reach == 7
+    assert table.slots.size == 16 + 7
+    assert table.lookup(keys).tolist() == [1, 2, 3, 1, 2, 3, 1, 2, 0]
+    assert table.lookup(keys[:0]).size == 0
