@@ -1,12 +1,13 @@
 """Simple-graph loading, normalization, and induced-subgraph bitmask codes.
 
 Vertices are remapped to dense ids 0..n-1 in order of first appearance; the
-original labels are kept so the mapping is invertible.  Each edge {u, v}
-of the undirected view is two half-edges, keyed u * n + v and v * n + u;
-the sorted, distinct half-edge keys are the CSR adjacency, whose rows are
-then sorted by neighbor.  Directed graphs additionally keep their arc set,
-and a pair of reciprocal arcs collapses to a single undirected edge;
-degrees always refer to the collapsed view.
+original labels are kept so the mapping is invertible.  A pair (u, v) is
+two half-edges, keys u * n + v and v * n + u, tagged in 2 low bits: 1 at
+row u and 2 at row v for the arc u -> v, 3 at both for an edge.  One sort
+of the tagged keys gives the CSR adjacency, rows sorted by neighbor, with
+the OR of each half-edge's tags as its direction bits, adj_bits.  So
+reciprocal arcs collapse to a single undirected edge; degrees always
+refer to the collapsed view.
 
 A set of 3 or 4 vertices maps to an integer code, one bit per vertex pair
 (ordered pairs for directed graphs).  Pairs are enumerated in lexicographic
@@ -89,27 +90,29 @@ class Graph:
         degrees: per-vertex degree on the undirected view, int64.
         adj_offsets, adj_flat: CSR adjacency of the undirected view,
             neighbors sorted within each row.
+        adj_bits: int8, aligned with adj_flat: bit 0 is the arc row ->
+            neighbor and bit 1 the arc back, mirrored on the edge's other
+            half-edge; all 3 on an undirected graph.
         edge_u, edge_v: undirected edges with edge_u < edge_v,
             lexicographically sorted.
+        edge_pos_in_u, edge_pos_in_v: per edge, where edge_v sits in
+            edge_u's row and edge_u in edge_v's (chains skip it in O(1)).
     """
 
     def __init__(self, *, directed, labels, degrees, adj_offsets, adj_flat,
-                 edge_u, edge_v, edge_keys, edge_pos_in_u, edge_pos_in_v,
-                 arc_keys, load_report):
+                 adj_bits, edge_u, edge_v, edge_pos_in_u, edge_pos_in_v,
+                 load_report):
         self.directed = directed
         self.labels = labels
         self.n_vertices = len(labels)
         self.degrees = degrees
         self.adj_offsets = adj_offsets
         self.adj_flat = adj_flat
+        self.adj_bits = adj_bits
         self.edge_u = edge_u
         self.edge_v = edge_v
-        self.edge_keys = edge_keys
-        # position of v inside u's adjacency row (and vice versa), per edge;
-        # chain frames need these to skip the co-endpoint in O(1)
         self.edge_pos_in_u = edge_pos_in_u
         self.edge_pos_in_v = edge_pos_in_v
-        self.arc_keys = arc_keys
         self.load_report = load_report
         self._samplers = {}
         self._pair_table = None
@@ -120,53 +123,50 @@ class Graph:
         """Build a graph from integer vertex pairs, labelled "0" .. "n-1".
 
         Self-loops are dropped and duplicate pairs are deduplicated; for
-        undirected graphs (u, v) and (v, u) are the same pair.
+        undirected graphs (u, v) and (v, u) are the same pair.  Vertex ids
+        must be integers, and n_vertices at most 2**30.
         """
-        if n_vertices < 0:
-            raise ValueError("vertex count must be nonnegative")
-        arr = np.asarray(list(pairs), dtype=np.int64)
-        if arr.size == 0:
-            arr = arr.reshape(0, 2)
+        # a tagged half-edge key, (n * n - 1) << 2, must fit in int64
+        if (not isinstance(n_vertices, (int, np.integer))
+                or not 0 <= n_vertices <= 1 << 30):
+            raise ValueError(f"vertex count must be an integer from 0 to "
+                             f"2**30, got {n_vertices!r}")
+        arr = np.asarray(list(pairs) or np.empty((0, 2), dtype=np.int64))
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("pairs must be (u, v) tuples")
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"vertex ids must be integers, got {arr.dtype}")
         if arr.size and (arr.min() < 0 or arr.max() >= n_vertices):
             raise ValueError("vertex id out of range")
-        return _build(arr, tuple(str(i) for i in range(n_vertices)), directed)
-
-    # -- basic queries ----------------------------------------------------
+        return _build(arr.astype(np.int64),
+                      tuple(str(i) for i in range(n_vertices)), directed)
 
     @property
     def n_edges(self) -> int:
         return int(self.edge_u.size)
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an int64 array."""
-    keys = np.sort(keys)
-    keep = np.empty(keys.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
-
-
 def _build(arr: np.ndarray, labels: tuple, directed: bool) -> Graph:
     n = len(labels)
     loops = arr[:, 0] == arr[:, 1]
-    pairs = arr[~loops]
-    u, v = pairs.T
-    arc_keys = np.empty(0, dtype=np.int64)
-    if directed:
-        arc_keys = _distinct(u * n + v)
-        u, v = np.divmod(arc_keys, n)
-
-    half = _distinct(np.concatenate([u * n + v, v * n + u]))
-    row, adj_flat = np.divmod(half, n)
+    u, v = arr[~loops].T
+    out, into = (1, 2) if directed else (3, 3)
+    half = np.concatenate([(u * n + v) << 2 | out, (v * n + u) << 2 | into])
+    half.sort()
+    tags = (half & 3).astype(np.int8)
+    half >>= 2
+    # a half-edge's entries sit together, tags ascending, so its first and
+    # last entry hold every tag it has
+    last = np.empty(half.size, dtype=bool)
+    last[-1:] = True
+    np.not_equal(half[:-1], half[1:], out=last[:-1])
+    adj_bits = tags[np.roll(last, 1)] | tags[last]
+    row, adj_flat = np.divmod(half[last], n)
     degrees = np.bincount(row, minlength=n).astype(np.int64)
     adj_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=adj_offsets[1:])
 
     forward = row < adj_flat
-    edge_keys = half[forward]
     edge_u, edge_v = row[forward], adj_flat[forward]
     edge_pos_in_u = np.flatnonzero(forward) - adj_offsets[edge_u]
     # the half-edges (v, u), put in the order of their edges (u, v)
@@ -174,19 +174,20 @@ def _build(arr: np.ndarray, labels: tuple, directed: bool) -> Graph:
     back = back[np.argsort(adj_flat[back] * n + row[back])]
     edge_pos_in_v = back - adj_offsets[edge_v]
 
-    kept = arc_keys.size if directed else edge_keys.size
+    # each arc sets bit 0 on its tail's half-edge
+    n_arcs = int((adj_bits & 1).sum()) if directed else None
     report = LoadReport(
         n_vertices=n,
-        n_edges=int(edge_keys.size),
-        n_arcs=int(arc_keys.size) if directed else None,
+        n_edges=int(edge_u.size),
+        n_arcs=n_arcs,
         self_loops_dropped=int(loops.sum()),
-        duplicates_dropped=int(len(pairs) - kept),
+        duplicates_dropped=int(u.size - (n_arcs if directed else edge_u.size)),
     )
     return Graph(directed=directed, labels=labels, degrees=degrees,
                  adj_offsets=adj_offsets, adj_flat=adj_flat,
-                 edge_u=edge_u, edge_v=edge_v, edge_keys=edge_keys,
+                 adj_bits=adj_bits, edge_u=edge_u, edge_v=edge_v,
                  edge_pos_in_u=edge_pos_in_u, edge_pos_in_v=edge_pos_in_v,
-                 arc_keys=arc_keys, load_report=report)
+                 load_report=report)
 
 
 def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
@@ -225,7 +226,9 @@ def loads_graph(text: str, directed: bool = False) -> Graph:
     if not flat:
         raise EdgeListError("empty edge list")
     arr = np.array(flat, dtype=np.int64).reshape(-1, 2)
-    return _build(arr, tuple(ids), directed)
+    labels = tuple(ids)
+    del flat, ids  # freed before the build, which sets the load's peak
+    return _build(arr, labels, directed)
 
 
 def load_graph(source: str | Path | IO[str], directed: bool = False) -> Graph:
@@ -253,15 +256,16 @@ def _mix(keys: np.ndarray) -> np.ndarray:
 class _PairTable:
     """Linear-probing hash set of edge keys, each holding 2 direction bits.
 
-    An entry is key << 2 | bits (a key is below n * n, so it fits while
-    n < 1.5e9); empty slots hold -1.  Entries are placed in order of their
-    home slot, so no run wraps: it may spill into a tail past the last
-    home slot, as long as the farthest any entry sits from its home
-    (reach).  A lookup reads a key's home slot and, unless that settles
-    it, the reach slots after it.
+    An entry is key << 2 | bits; a key is below n * n, and n is at most
+    2**30 (Graph.from_edges checks it), so an entry fits in int64.  Empty
+    slots hold -1.  Entries are placed in order of their home slot, so no
+    run wraps: it may spill into a tail past the last home slot, as long
+    as the farthest any entry sits from its home (reach).  A lookup reads
+    a key's home slot and, unless that settles it, the reach slots after
+    it.
     """
 
-    def __init__(self, keys: np.ndarray, bits: np.ndarray | int):
+    def __init__(self, keys: np.ndarray, bits: np.ndarray):
         log_cap = max(2 * keys.size - 1, 1).bit_length()
         self._shift = 64 - log_cap
         # a stable sort on the home slot: the key's index breaks ties, in
@@ -311,21 +315,13 @@ class _PairTable:
 def _pair_table(g: Graph) -> _PairTable:
     """The graph's table of pair keys, built on first use.
 
-    Bit 0 of an edge u < v is the arc u -> v and bit 1 the arc v -> u;
-    both are set on an undirected graph.
+    An edge u < v holds the direction bits of its half-edge in u's row:
+    bit 0 is the arc u -> v and bit 1 the arc v -> u.
     """
     if g._pair_table is None:
-        bits = 3
-        if g.directed:
-            n = g.n_vertices
-            tail, head = np.divmod(g.arc_keys, n)
-            up = tail < head
-            bits = np.zeros(g.n_edges, dtype=np.int64)
-            bits[np.searchsorted(g.edge_keys, g.arc_keys[up])] |= 1
-            # sorted queries keep the search's memory reads in order
-            down = np.sort(head[~up] * n + tail[~up])
-            bits[np.searchsorted(g.edge_keys, down)] |= 2
-        g._pair_table = _PairTable(g.edge_keys, bits)
+        g._pair_table = _PairTable(
+            g.edge_u * g.n_vertices + g.edge_v,
+            g.adj_bits[g.adj_offsets[g.edge_u] + g.edge_pos_in_u])
     return g._pair_table
 
 
@@ -359,6 +355,9 @@ def induced_subgraph_codes(g: Graph, vertices: np.ndarray, *,
     if kind is not None and kind.size != k:
         raise ValueError(f"{kind.value}s have {kind.size} vertices, "
                          f"got {k} rows")
+    # a negative id wraps past every valid one, so one max checks both ends
+    if verts.size and verts.view(np.uint64).max() >= g.n_vertices:
+        raise ValueError(f"vertex ids must be in 0 .. {g.n_vertices - 1}")
     lookups, tree_bits = _lookup_plan(k, g.directed, kind)
     table = _pair_table(g)
     codes = np.full(verts.shape[1], tree_bits, dtype=np.int64)

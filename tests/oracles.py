@@ -12,15 +12,18 @@ from itertools import combinations, permutations
 
 import networkx as nx
 import numpy as np
+from hypothesis import strategies as st
 
 from motifcensus import (FrameKind, Graph, arrcode_table, kinds_for_size,
                          koef_table, pair_slots)
 
 
 def arcs(g: Graph) -> np.ndarray:
-    """Directed arcs of g as an (m, 2) array of dense ids."""
-    n = g.n_vertices
-    return np.stack([g.arc_keys // n, g.arc_keys % n], axis=1)
+    """Directed arcs of g as an (m, 2) array of dense ids, sorted: the
+    half-edges whose bit 0, the arc from their row, is set."""
+    tail = np.repeat(np.arange(g.n_vertices), np.diff(g.adj_offsets))
+    out = (g.adj_bits & 1).astype(bool)
+    return np.stack([tail[out], g.adj_flat[out]], axis=1)
 
 
 def to_nx(g: Graph):
@@ -90,6 +93,16 @@ def random_graph(rng: np.random.Generator, n: int, p: float,
             if rng.random() < p:
                 pairs.append((i, j))
     return Graph.from_edges(n, pairs, directed=directed)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs of 1 to 12 vertices, directed or not, from up to 40 drawn
+    pairs: self-loops, duplicate and reciprocal pairs included."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    return Graph.from_edges(n, pairs, directed=draw(st.booleans()))
 
 
 def neighbor_sets(g: Graph) -> list:

@@ -2,13 +2,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from motifcensus import (FrameKind, Graph, arrcode_table, exact,
                          exact_census, frame_totals, koef_table, loads_graph)
 from motifcensus.frames import CHUNK, FrameSet
 from oracles import (are_open_frames, brute_force_census,
                      common_neighbor_pairs, frame_keys, frames_brute,
-                     random_graph)
+                     random_graph, small_graphs)
 
 ALL_KINDS = (FrameKind.FORK, FrameKind.TRIDENT, FrameKind.CHAIN)
 
@@ -49,6 +50,14 @@ def test_census_matches_brute_force():
         for size in (3, 4):
             assert exact_census(g, size).counts == \
                 brute_force_census(g, size)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(small_graphs())
+def test_small_graph_censuses_match_brute_force(g):
+    # self-loops, duplicate and reciprocal arcs, and graphs under 4 vertices
+    for size in (3, 4):
+        assert exact_census(g, size).counts == brute_force_census(g, size)
 
 
 def test_census_is_relabel_invariant():

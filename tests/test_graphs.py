@@ -8,7 +8,7 @@ from motifcensus import (EdgeListError, FrameKind, Graph,
 from motifcensus.frames import FrameSet
 from motifcensus.graphs import _lines, _mix, _PairTable
 from oracles import (arcs, dumps_graph, induced_code, parse_edge_list,
-                     random_graph)
+                     random_graph, small_graphs)
 
 
 def _row(g, v):
@@ -172,13 +172,17 @@ def test_loader_matches_the_reference_parser(text):
         if directed:
             assert arcs(g).tolist() == [list(p) for p in pairs]
         assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == edges
-        assert g.edge_keys.tolist() == [u * n + v for u, v in edges]
         neighbors = [set() for _ in range(n)]
         for u, v in edges:
             neighbors[u].add(v)
             neighbors[v].add(u)
         for v in range(n):
             assert _row(g, v).tolist() == sorted(neighbors[v])
+            # bit 0: the arc v -> w, bit 1: the arc w -> v
+            bits = g.adj_bits[g.adj_offsets[v]:g.adj_offsets[v + 1]]
+            assert bits.tolist() == [
+                (w in want["pairs"][v]) | (v in want["pairs"][w]) << 1
+                if directed else 3 for w in sorted(neighbors[v])]
         assert g.degrees.tolist() == [len(s) for s in neighbors]
         for e, (u, v) in enumerate(edges):
             assert _row(g, u)[g.edge_pos_in_u[e]] == v
@@ -221,6 +225,21 @@ def test_from_edges_keeps_isolated_vertices():
 def test_from_edges_validates():
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+
+
+def test_from_edges_refuses_non_integer_ids():
+    # 1.7 and 2.9 would otherwise truncate to the edges (0, 1) and (1, 2)
+    with pytest.raises(ValueError, match="must be integers, got float64"):
+        Graph.from_edges(3, [(0, 1.7), (1, 2.9)])
+    with pytest.raises(ValueError, match="must be integers"):
+        Graph.from_edges(3, [("0", "1")])
+
+
+@pytest.mark.parametrize("n", [(1 << 30) + 1, 1 << 62, -1, 2.0])
+def test_from_edges_refuses_a_bad_vertex_count(n):
+    # refused before one label per vertex is built
+    with pytest.raises(ValueError, match="vertex count must be an integer"):
+        Graph.from_edges(n, [(0, 1)])
 
 
 def test_pair_slot_order():
@@ -270,14 +289,6 @@ def test_code_respects_vertex_order():
     assert len(ones) == 1  # edge count is order-free even when bits move
 
 
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 12))
-    vertex = st.integers(0, n - 1)
-    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
-    return Graph.from_edges(n, pairs, directed=draw(st.booleans()))
-
-
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(small_graphs())
 def test_frame_codes_match_the_oracle(g):
@@ -301,6 +312,15 @@ def test_edgeless_graph_codes_are_zero(directed):
     for k in (3, 4):
         cols = np.array([[0, 1, 2, 3][:k], [5, 4, 3, 2][:k]]).T
         assert induced_subgraph_codes(g, cols).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("bad", [5, 3, -1])
+def test_codes_refuse_vertex_ids_out_of_range(bad):
+    # on the path 0-1-2, key 0 * 3 + 5 of the pair (0, 5) is key 1 * 3 + 2
+    # of the edge (1, 2)
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=r"vertex ids must be in 0 \.\. 2"):
+        induced_subgraph_codes(g, np.array([[0], [1], [bad]]))
 
 
 def test_kind_must_match_the_rows(k4):
