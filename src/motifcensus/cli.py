@@ -52,8 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--size", type=int, choices=(3, 4), required=True)
     p_sample.add_argument("--samples", type=int, default=None,
                           help="total experiment budget, at most 2**63 - 1; "
-                               "size 4 splits it evenly between chains and "
-                               "tridents")
+                               "without --target-cv, size 4 splits it "
+                               "evenly between chains and tridents; with "
+                               "it, the rounds split by where the CV falls "
+                               "most, and the budget caps their total")
     p_sample.add_argument("--target-cv", type=float, default=None,
                           help="stop once well-observed classes reach this "
                                "coefficient of variation (positive and "

@@ -17,6 +17,18 @@ D(lam) = (1 - lam)^2 D_A + lam^2 D_B, and
 minimizes the squared coefficient of variation D(lam) / n(lam)^2 under the
 observed plug-in values.  Every class is estimated at once, in arrays over
 the class table.
+
+The paper's method "minimizes the value of the coefficient of variation",
+and a size-4 run with a target CV does so twice over.  Besides lam, from
+its second round on it splits each round between the kinds where the CV
+of the binding class b, the tracked class with the largest cv, falls
+most.  After N_k experiments of kind k, one more cuts the mixture's
+variance by about w_k^2 D_k / N_k, with w = (1 - lam_b, lam_b).  Chains
+get their part of the two cuts of the next round, held within
+[MIN_SHARE, 1 - MIN_SHARE].  Runs without a target split evenly, so
+their seeded reports stay as they were: there the rule would cost an
+estimate pass a round, and its binding class, with a handful of
+detections, is mostly noise.
 """
 
 from __future__ import annotations
@@ -34,6 +46,11 @@ from .graphs import Graph, induced_subgraph_codes
 
 # classes detected fewer times than this are not held to the CV target
 MIN_DETECTIONS_FOR_CV = 5
+
+# the least share of a target run's round each size-4 frame kind draws:
+# the other kind must keep estimating its variance, and every class only
+# it spans, such as the 3-star, whose chain koef is 0
+MIN_SHARE = 0.1
 
 
 def optimal_lambda(n_a, d_a, n_b, d_b):
@@ -97,8 +114,9 @@ def _build_estimates(koefs: KoefTable, totals: FrameTotals, n: dict,
     """Estimates of every class at once from the per-kind tallies: n[kind]
     experiments and the detection array hits[kind].
 
-    Returns per-class arrays (n_hat, variance, cv, lam, parts).  parts has
-    one row per kind of koefs.kinds and marks the classes that kind
+    Returns per-class arrays (n_hat, variance, cv, lam, parts, kind_var).
+    parts and kind_var have one row per kind of koefs.kinds: kind_var holds
+    each kind's own variance, and parts marks the classes that kind
     estimates: those it spans (koef > 0, so connected ones only), once it
     has experiments, or at once when the graph has no frames of the kind,
     since the count is then exactly zero.  A class no kind estimates is
@@ -107,7 +125,7 @@ def _build_estimates(koefs: KoefTable, totals: FrameTotals, n: dict,
     """
     kinds = koefs.kinds
     shape = (len(kinds), len(hits[kinds[0]]))
-    n_hat, var = np.zeros(shape), np.zeros(shape)
+    n_hat, kind_var = np.zeros(shape), np.zeros(shape)
     parts = np.zeros(shape, dtype=bool)
     for i, kind in enumerate(kinds):
         koef, n_f, n_k = koefs.counts[kind], totals.for_kind(kind), n[kind]
@@ -119,27 +137,67 @@ def _build_estimates(koefs: KoefTable, totals: FrameTotals, n: dict,
                               for k in range(int(koef.max()) + 1)])[koef]
             c = hits[kind]
             n_hat[i] = c * scale
-            var[i] = scale * scale * c * (1.0 - c / n_k)
+            kind_var[i] = scale * scale * c * (1.0 - c / n_k)
     # outside the mixture at most one kind's estimate is nonzero
-    est, variance = n_hat.sum(axis=0), var.sum(axis=0)
+    est, variance = n_hat.sum(axis=0), kind_var.sum(axis=0)
     lam = np.full(est.shape, np.nan)
     if len(kinds) == 2:
         mix = parts.all(axis=0) & (n_hat != 0).any(axis=0)
-        (n_a, n_b), (d_a, d_b) = n_hat[:, mix], var[:, mix]
+        (n_a, n_b), (d_a, d_b) = n_hat[:, mix], kind_var[:, mix]
         w = optimal_lambda(n_a, d_a, n_b, d_b)
         lam[mix] = w
         est[mix] = n_a + w * (n_b - n_a)
         variance[mix] = (1.0 - w) ** 2 * d_a + w ** 2 * d_b
     cv = np.divide(np.sqrt(variance), est, out=np.full(est.shape, np.nan),
                    where=est > 0)
-    return est, variance, cv, lam, parts
+    return est, variance, cv, lam, parts, kind_var
+
+
+def _tracked(hits: dict) -> np.ndarray:
+    """Classes some kind detected MIN_DETECTIONS_FOR_CV times or more."""
+    return np.maximum.reduce(list(hits.values())) >= MIN_DETECTIONS_FOR_CV
 
 
 def _target_met(cv: np.ndarray, hits: dict, target: float) -> bool:
-    """Every class some kind detected MIN_DETECTIONS_FOR_CV times or more
-    has a cv at or below target (a NaN cv is above it)."""
-    tracked = np.maximum.reduce(list(hits.values())) >= MIN_DETECTIONS_FOR_CV
-    return bool((cv[tracked] <= target).all())
+    """Every tracked class has a cv at or below target (a NaN cv is above
+    it)."""
+    return bool((cv[_tracked(hits)] <= target).all())
+
+
+def _chain_share(cv: np.ndarray, lam: np.ndarray, parts: np.ndarray,
+                 kind_var: np.ndarray, hits: dict, n: dict) -> float:
+    """Share of the next size-4 round for chains, the rest for tridents.
+
+    The binding class b is the tracked class with the largest cv.  Kind k
+    weighs w_k = (1 - lam_b, lam_b)[k]; where lam_b is undefined, 1 if
+    the kind estimates b and 0 if not.  Each of its next experiments cuts
+    b's variance by w_k^2 kind_var[k, b] / N_k.  Chains get their part of
+    the two cuts, clamped to [MIN_SHARE, 1 - MIN_SHARE]; with no cut, or
+    no class tracked, the round splits evenly.  parts and kind_var rows
+    are chain, trident.
+    """
+    tracked = _tracked(hits)
+    if not tracked.any():
+        return 0.5
+    b = int(np.argmax(np.where(tracked, cv, -np.inf)))
+    w = parts[:, b] if math.isnan(lam[b]) else np.array([1 - lam[b], lam[b]])
+    cut = w * w * kind_var[:, b] / [n[FrameKind.CHAIN], n[FrameKind.TRIDENT]]
+    if not cut.any():
+        return 0.5
+    return float(min(max(cut[0] / cut.sum(), MIN_SHARE), 1 - MIN_SHARE))
+
+
+def _round_parts(share: float, remaining: dict, left: int) -> dict:
+    """Experiments of each size-4 kind in a round: 2 * CHUNK, or what is
+    left in all, with round(total * share) for chains.  A kind takes at
+    most what it has left, and the other kind takes up its shortfall.  At
+    share 0.5 the rounds of a budget add up to its even split, rounded
+    half to even."""
+    total = min(2 * CHUNK, left)
+    chain = min(round(total * share), remaining[FrameKind.CHAIN])
+    trident = min(total - chain, remaining[FrameKind.TRIDENT])
+    chain = min(total - trident, remaining[FrameKind.CHAIN])
+    return {FrameKind.CHAIN: chain, FrameKind.TRIDENT: trident}
 
 
 def run_sampled_census(g: Graph, size: int, budget: int | None = None,
@@ -147,15 +205,24 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
                        seed: int) -> CensusReport:
     """Sampled census of all connected motif classes of one size.
 
-    The run goes in rounds: each frame kind with experiments left draws up
-    to CHUNK (10,000) frames, then the stop rule is checked.
+    The run goes in rounds, each followed by the stop rule.  A round is
+    CHUNK (10,000) experiments per drawing kind, or what is left.  At size
+    4 it splits evenly, except from round 2 of a run with a target on:
+    there chains get the share _chain_share gives them, at least MIN_SHARE
+    (0.1) and at most 1 - MIN_SHARE, in proportion to how much each kind
+    cuts the squared CV of the class furthest from the target.  So, beyond
+    the mixing weight lam, the split too "minimizes the value of the
+    coefficient of variation", as the paper puts it.  The split depends
+    only on the tallies, so a seeded run still reproduces.  Every kind
+    draws in batches of at most CHUNK frames.
 
     Args:
         g: input graph.
         size: motif size, 3 or 4.
         budget: total number of experiments across frame kinds, at most
-            2**63 - 1; for size 4 chains get half of it, rounded half to
-            even, and tridents the rest.  May be omitted when target_cv is
+            2**63 - 1.  Without a target, size 4 gives chains half of it,
+            rounded half to even, and tridents the rest; with a target it
+            caps the two kinds' total.  May be omitted when target_cv is
             given.
         target_cv: stop after the first round in which every class
             detected at least 5 times has cv at or below this value, which
@@ -193,51 +260,58 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     n = dict.fromkeys(kinds, 0)
     hits = {k: np.zeros(table.n_classes, dtype=np.int64) for k in kinds}
 
-    # experiments left per kind; without a budget a kind stops at its frame
-    # total, where an exact census costs no more
+    # experiments left per kind, and in all; without a budget a kind stops
+    # at its frame total, where an exact census costs no more.  Two kinds
+    # split each round by _round_parts, so a budget caps only the total
     if budget is None:
         remaining = {k: totals.for_kind(k) for k in active}
-    elif len(active) == 1:
-        remaining = {active[0]: budget}
     else:
-        # an even split; an odd budget's half rounds half to even
-        half, odd = divmod(budget, 2)
-        chain_budget = half + (odd and half % 2)
-        remaining = {FrameKind.CHAIN: chain_budget,
-                     FrameKind.TRIDENT: budget - chain_budget}
+        remaining = dict.fromkeys(active, budget)
+    left = sum(remaining.values()) if budget is None else budget
 
-    # one stream per kind that draws: spawn key (0, i) is child i of child
-    # 0 of SeedSequence(seed), as spawn() would make it.  Kind slots are
-    # fixed by size so streams do not shift when a kind is inactive
-    rngs = {k: np.random.default_rng(np.random.SeedSequence(
-                seed, spawn_key=(0, kinds.index(k))))
-            for k in active if remaining[k] > 0}
-
+    # one stream per kind, made at its first draw: spawn key (0, i) is
+    # child i of child 0 of SeedSequence(seed), as spawn() would make it.
+    # Kind slots are fixed by size so streams do not shift when a kind is
+    # inactive
+    rngs = {}
     stop_reason = "budget"
-    while any(remaining.values()):
-        for kind, rng in rngs.items():
-            m = min(CHUNK, remaining[kind])
-            if m == 0:
-                continue
+    share = 0.5
+    while left:
+        if len(active) == 2:
+            draws = _round_parts(share, remaining, left)
+        else:
+            draws = {active[0]: min(CHUNK, left)}
+        for kind, m in draws.items():
+            if m and kind not in rngs:
+                rngs[kind] = np.random.default_rng(np.random.SeedSequence(
+                    seed, spawn_key=(0, kinds.index(kind))))
             remaining[kind] -= m
+            left -= m
             n[kind] += m
-            codes = induced_subgraph_codes(
-                g, samplers[kind].sample_batch(rng, m).open_vertices,
-                kind=kind)
-            hits[kind] += np.bincount(table.entries[codes],
-                                      minlength=table.n_classes)
+            # in draws of at most CHUNK frames, which bounds the memory
+            for start in range(0, m, CHUNK):
+                codes = induced_subgraph_codes(
+                    g, samplers[kind].sample_batch(
+                        rngs[kind], min(CHUNK, m - start)).open_vertices,
+                    kind=kind)
+                hits[kind] += np.bincount(table.entries[codes],
+                                          minlength=table.n_classes)
         if target_cv is not None:
-            cv = _build_estimates(koefs, totals, n, hits)[2]
+            _, _, cv, lam, kind_parts, kind_var = _build_estimates(
+                koefs, totals, n, hits)
             if _target_met(cv, hits, target_cv):
                 stop_reason = "target_cv"
                 break
+            if len(active) == 2 and left:
+                share = _chain_share(cv, lam, kind_parts, kind_var, hits, n)
     if budget is None and stop_reason == "budget":
         raise ValueError(
             f"target CV {target_cv} not reached after {sum(n.values())} "
             f"experiments, as many as the graph has frames; count exactly "
             f"instead (motif-census exact)")
 
-    n_hat, variance, cv, lam, parts = _build_estimates(koefs, totals, n, hits)
+    n_hat, variance, cv, lam, parts, _ = _build_estimates(koefs, totals, n,
+                                                          hits)
     experiments = {}
     for kind in kinds:
         entry = {"n_experiments": n[kind],

@@ -131,7 +131,10 @@ class Graph:
                 or not 0 <= n_vertices <= 1 << 30):
             raise ValueError(f"vertex count must be an integer from 0 to "
                              f"2**30, got {n_vertices!r}")
-        arr = np.asarray(list(pairs) or np.empty((0, 2), dtype=np.int64))
+        try:
+            arr = np.asarray(list(pairs) or np.empty((0, 2), dtype=np.int64))
+        except ValueError:   # ragged pairs
+            arr = np.empty(0)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("pairs must be (u, v) tuples")
         if arr.dtype.kind not in "iu":
@@ -265,7 +268,7 @@ class _PairTable:
     it.
     """
 
-    def __init__(self, keys: np.ndarray, bits: np.ndarray):
+    def __init__(self, keys: np.ndarray, bits: np.ndarray | int):
         log_cap = max(2 * keys.size - 1, 1).bit_length()
         self._shift = 64 - log_cap
         # a stable sort on the home slot: the key's index breaks ties, in
@@ -277,9 +280,15 @@ class _PairTable:
         # an entry lands on its home slot, or just past the entry before
         # it when that one already reaches there
         pos = np.maximum.accumulate(home - ramp) + ramp
+        # the slots are the build's largest array: free what they do not
+        # need first, since the build sets the census's peak memory
+        del ramp
         self.reach = int((pos - home).max(initial=0))
+        del home
+        entries = keys << 2
+        entries |= bits
         self.slots = np.full((1 << log_cap) + self.reach, -1, dtype=np.int64)
-        self.slots[pos] = ((keys << 2) | bits)[order]
+        self.slots[pos] = entries[order]
 
     def _home(self, keys: np.ndarray) -> np.ndarray:
         z = _mix(keys)
@@ -319,9 +328,12 @@ def _pair_table(g: Graph) -> _PairTable:
     bit 0 is the arc u -> v and bit 1 the arc v -> u.
     """
     if g._pair_table is None:
-        g._pair_table = _PairTable(
-            g.edge_u * g.n_vertices + g.edge_v,
-            g.adj_bits[g.adj_offsets[g.edge_u] + g.edge_pos_in_u])
+        # an undirected edge holds both arcs: its bits are 3
+        bits = (g.adj_bits[g.adj_offsets[g.edge_u] + g.edge_pos_in_u]
+                if g.directed else 3)
+        keys = g.edge_u * g.n_vertices
+        keys += g.edge_v
+        g._pair_table = _PairTable(keys, bits)
     return g._pair_table
 
 

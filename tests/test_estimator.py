@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import motifcensus
 from motifcensus import (FrameKind, FrameTotals, Graph, arrcode_table,
@@ -13,26 +15,32 @@ from motifcensus import (FrameKind, FrameTotals, Graph, arrcode_table,
                          optimal_lambda, run_sampled_census)
 from motifcensus.frames import CHUNK
 from oracles import (are_open_frames, estimate_rows, random_graph,
-                     single_estimate)
+                     single_estimate, small_graphs)
+
+
+def _hit_arrays(size, hits):
+    """Per-kind detection arrays from {kind: {class_id: detections}}."""
+    n_classes = arrcode_table(size, False).n_classes
+    arrays = {k: np.zeros(n_classes, dtype=np.int64)
+              for k in kinds_for_size(size)}
+    for kind, by_class in hits.items():
+        for cid, c in by_class.items():
+            arrays[kind][cid] = c
+    return arrays
 
 
 def _estimates(size, totals, n, hits):
     """_build_estimates on a crafted tally: n and hits give experiments
     and {class_id: detections} for the kinds that drew."""
-    kinds = kinds_for_size(size)
-    n_classes = arrcode_table(size, False).n_classes
-    arrays = {k: np.zeros(n_classes, dtype=np.int64) for k in kinds}
-    for kind, by_class in hits.items():
-        for cid, c in by_class.items():
-            arrays[kind][cid] = c
     return estimator._build_estimates(
         koef_table(size, False), totals,
-        {k: n.get(k, 0) for k in kinds}, arrays)
+        {k: n.get(k, 0) for k in kinds_for_size(size)},
+        _hit_arrays(size, hits))
 
 
 def test_single_estimate_formula(k3):
     tri = arrcode_table(3, False).entries[0b111]
-    n_hat, variance, cv, lam, parts = _estimates(
+    n_hat, variance, cv, lam, parts, _ = _estimates(
         3, frame_totals(k3), {FrameKind.FORK: 100},
         {FrameKind.FORK: {tri: 40}})
     # n_hat = (40/100) * 3 / 3, var = 9/(9*100^2) * 40 * 0.6
@@ -49,14 +57,14 @@ def test_single_estimate_edge_cases(k3):
     tri = table.entries[0b111]
     path = table.entries[0b011]
 
-    n_hat, variance, cv, _, parts = _estimates(
+    n_hat, variance, cv, _, parts, _ = _estimates(
         3, totals, {FrameKind.FORK: 50}, {})
     assert n_hat[tri] == 0 and variance[tri] == 0 and math.isnan(cv[tri])
     # the empty class has koef 0: forks cannot see it, so it has no row
     assert not parts[:, 0].any()
     assert parts[:, path].all()
 
-    n_hat, variance, cv, _, _ = _estimates(
+    n_hat, variance, cv, _, _, _ = _estimates(
         3, totals, {FrameKind.FORK: 50}, {FrameKind.FORK: {tri: 50}})
     assert n_hat[tri] == pytest.approx(1.0)  # 3 forks / koef 3
     assert variance[tri] == 0 and cv[tri] == 0
@@ -132,7 +140,7 @@ def _clique(chain, trident):
     """Mixed clique estimate from (frame total, experiments, detections)
     per kind."""
     totals = FrameTotals(n_fork=0, n_trident=trident[0], n_chain=chain[0])
-    n_hat, variance, cv, lam, parts = _estimates(
+    n_hat, variance, cv, lam, parts, _ = _estimates(
         4, totals, {FrameKind.CHAIN: chain[1], FrameKind.TRIDENT: trident[1]},
         {FrameKind.CHAIN: {CLIQUE: chain[2]},
          FrameKind.TRIDENT: {CLIQUE: trident[2]}})
@@ -168,6 +176,78 @@ def test_mixed_estimate_prefers_variance_free_side():
     assert lam == 1.0
     assert n_hat == 47.0
     assert variance == 0.0
+
+
+STAR = arrcode_table(4, False).entries[0b000111]
+
+
+def _chain_share(chain, trident):
+    """Chains' share of the next round after a crafted size-4 tally:
+    (frame total, experiments, {class_id: detections}) per kind."""
+    totals = FrameTotals(n_fork=0, n_trident=trident[0], n_chain=chain[0])
+    n = {FrameKind.CHAIN: chain[1], FrameKind.TRIDENT: trident[1]}
+    hits = {FrameKind.CHAIN: chain[2], FrameKind.TRIDENT: trident[2]}
+    _, _, cv, lam, parts, kind_var = _estimates(4, totals, n, hits)
+    return estimator._chain_share(cv, lam, parts, kind_var,
+                                  _hit_arrays(4, hits), n)
+
+
+def _unclamped_share(n_a, d_a, big_n_a, n_b, d_b, big_n_b):
+    # with w = (1 - lam, lam) at the optimal lam, the cut w_k^2 D_k / N_k
+    # of chains (A) over that of tridents (B) is n_a^2 d_b N_b over
+    # n_b^2 d_a N_a
+    return Fraction(1) / (1 + Fraction(n_b ** 2 * d_a * big_n_a,
+                                       n_a ** 2 * d_b * big_n_b))
+
+
+def test_chain_share_follows_lambda():
+    # chain (100, 100) from 50 of 100 over 200 * 12 frames; trident
+    # (20, 16) from 20 of 100 over 100 * 4 frames; lam = 5/9
+    assert _unclamped_share(100, 100, 100, 20, 16, 100) == Fraction(4, 5)
+    assert _chain_share((2400, 100, {CLIQUE: 50}),
+                        (400, 100, {CLIQUE: 20})) == pytest.approx(0.8)
+    # identical tallies cut alike
+    assert _chain_share((3000, 1250, {CLIQUE: 250}),
+                        (1000, 1250, {CLIQUE: 250})) == pytest.approx(0.5)
+
+
+def test_chain_share_is_clamped_on_both_sides():
+    # the mixed-estimate worked example: chains would get 10/11
+    assert _unclamped_share(90, 25, 324, 110, 100, 1210) == Fraction(10, 11)
+    assert _chain_share((2160, 324, {CLIQUE: 162}),
+                        (4840, 1210, {CLIQUE: 110})) == 0.9
+    # chain (16, 29.44) from 8 of 100 over 200 * 12 frames; trident
+    # (50, 25) from 50 of 100 over 100 * 4: chains would get 0.08
+    assert float(_unclamped_share(16, Fraction(2944, 100), 100,
+                                  50, 25, 100)) == pytest.approx(0.08)
+    assert _chain_share((2400, 100, {CLIQUE: 8}),
+                        (400, 100, {CLIQUE: 50})) == estimator.MIN_SHARE
+
+
+def test_a_kind_blind_to_the_binding_class_gets_the_floor():
+    # both kinds span the clique, but one has not detected it: lam gives
+    # that kind no weight, so its experiments cut nothing
+    assert _chain_share((2400, 100, {}),
+                        (400, 100, {CLIQUE: 20})) == estimator.MIN_SHARE
+    assert _chain_share((2400, 100, {CLIQUE: 20}),
+                        (400, 100, {})) == 1 - estimator.MIN_SHARE
+
+
+def test_a_class_only_tridents_see_sends_them_the_most():
+    # the 3-star has chain koef 0; it binds with cv 0.22 against the
+    # clique's 0.1 or less, so tridents get 1 - MIN_SHARE
+    share = _chain_share((2400, 1000, {CLIQUE: 100}),
+                         (400, 1000, {CLIQUE: 100, STAR: 20}))
+    assert share == estimator.MIN_SHARE == 0.1
+
+
+def test_chain_share_is_even_without_a_tracked_class_or_a_cut():
+    # 4 detections track no class
+    assert _chain_share((2400, 100, {CLIQUE: 4}),
+                        (400, 100, {CLIQUE: 4, STAR: 4})) == 0.5
+    # every experiment detects the clique: no variance to cut
+    assert _chain_share((1200, 100, {CLIQUE: 100}),
+                        (400, 100, {CLIQUE: 100})) == 0.5
 
 
 def test_run_requires_a_stopping_rule(k4):
@@ -315,9 +395,87 @@ def test_target_met_before_the_frame_totals_draws_as_unbounded(size):
     for run in runs:
         del run["elapsed"], run["budget"]
     assert runs[0]["stop_reason"] == "target_cv"
-    assert all(2 * CHUNK == e["n_experiments"] < e["frame_total"]
-               for e in runs[0]["experiments"].values())
+    # two rounds of CHUNK forks, or of 2 * CHUNK chains and tridents
+    # together, which split by the tallies in the second round
+    spent = runs[0]["experiments"].values()
+    assert sum(e["n_experiments"] for e in spent) == 2 * CHUNK * len(spent)
+    assert all(e["n_experiments"] < e["frame_total"] for e in spent)
     assert runs[0] == runs[1]
+
+
+def _hub_graph():
+    """A hub-heavy Chung-Lu graph, weights i^(-1/1.5), 5000 lines over
+    2000 vertices: K4 binds a size-4 target run, and chains carry it."""
+    n_vertices, lines = 2000, 5000
+    rng = np.random.default_rng(5)
+    weight = np.cumsum(np.arange(1, n_vertices + 1) ** (-1 / 1.5))
+    ends = np.searchsorted(weight / weight[-1], rng.random(2 * lines))
+    return Graph.from_edges(n_vertices,
+                            np.minimum(ends, n_vertices - 1).reshape(-1, 2))
+
+
+def test_round_parts_hands_a_shortfall_to_the_other_kind():
+    chain, trident = FrameKind.CHAIN, FrameKind.TRIDENT
+    plenty = {chain: 10 ** 6, trident: 10 ** 6}
+    assert estimator._round_parts(0.9, plenty, 10 ** 6) == {
+        chain: 18_000, trident: 2_000}
+    # chains have 5,000 left of their 18,000: tridents take the rest
+    assert estimator._round_parts(0.9, {chain: 5_000, trident: 10 ** 6},
+                                  10 ** 6) == {chain: 5_000, trident: 15_000}
+    # tridents have 1,000 left of their 18,000: chains take the rest
+    assert estimator._round_parts(0.1, {chain: 10 ** 6, trident: 1_000},
+                                  10 ** 6) == {chain: 19_000, trident: 1_000}
+    # the last of a budget; at share 0.5 chains' half rounds half to even
+    assert estimator._round_parts(0.5, plenty, 4_003) == {
+        chain: 2_002, trident: 2_001}
+    assert estimator._round_parts(0.5, plenty, 5_001) == {
+        chain: 2_500, trident: 2_501}
+    parts = estimator._round_parts(0.37, plenty, 10 ** 6)
+    assert all(type(m) is int for m in parts.values())
+
+
+def test_a_budget_with_a_target_caps_the_total():
+    # the target is out of reach, so the run spends its odd budget: an
+    # even first round of 2 * CHUNK, then 5,001 split by the tallies
+    report = run_sampled_census(_hub_graph(), 4, budget=25_001,
+                                target_cv=1e-6, seed=0)
+    assert report.stop_reason == "budget"
+    spent = [e["n_experiments"] for e in report.experiments.values()]
+    assert sum(spent) == 25_001
+    assert min(spent) >= CHUNK and max(spent) - min(spent) > 1
+
+
+def test_a_target_run_spends_its_rounds_where_the_binding_class_is_seen():
+    # past the even first round tridents draw little more than their floor
+    g = _hub_graph()
+    runs = [run_sampled_census(g, 4, target_cv=0.05, seed=0).to_dict()
+            for _ in range(2)]
+    for run in runs:
+        del run["elapsed"]
+    assert runs[0]["stop_reason"] == "target_cv"
+    spent = {k: e["n_experiments"] for k, e in runs[0]["experiments"].items()}
+    total = sum(spent.values())
+    assert total % (2 * CHUNK) == 0 and total >= 6 * CHUNK
+    assert spent["trident"] <= 0.3 * total
+    assert runs[0] == runs[1]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_graphs(), st.sampled_from([3, 4]),
+       st.sampled_from(["budget", "target", "both"]),
+       st.integers(0, 50_000), st.floats(0.02, 1.0), st.integers(0, 2 ** 32))
+def test_reports_survive_json(g, size, mode, budget, target, seed):
+    # a numpy integer in a report, say from the round split, fails dumps
+    try:
+        report = run_sampled_census(
+            g, size, None if mode == "target" else budget,
+            None if mode == "budget" else target, seed=seed)
+    except ValueError as e:
+        # no frames of the size, or a target unmet at the frame totals
+        assert "frames" in str(e)
+        return
+    d = report.to_dict()
+    assert json.loads(json.dumps(d)) == d
 
 
 def test_cv_is_at_most_one_over_the_root_of_the_detections():

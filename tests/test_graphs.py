@@ -225,6 +225,9 @@ def test_from_edges_keeps_isolated_vertices():
 def test_from_edges_validates():
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+    # ragged pairs get this message, not numpy's inhomogeneous-shape one
+    with pytest.raises(ValueError, match=r"^pairs must be \(u, v\) tuples$"):
+        Graph.from_edges(3, [[0, 1], [1]])
 
 
 def test_from_edges_refuses_non_integer_ids():
