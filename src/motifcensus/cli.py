@@ -97,15 +97,12 @@ def _config_dict(args: argparse.Namespace) -> dict:
 
 
 def _write_text(text: str, path: str | None) -> None:
+    text += "" if text.endswith("\n") else "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _emit_json(payload: dict, path: str | None) -> None:

@@ -34,6 +34,7 @@ detections, is mostly noise.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -213,8 +214,8 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     cuts the squared CV of the class furthest from the target.  So, beyond
     the mixing weight lam, the split too "minimizes the value of the
     coefficient of variation", as the paper puts it.  The split depends
-    only on the tallies, so a seeded run still reproduces.  Every kind
-    draws in batches of at most CHUNK frames.
+    only on the tallies, so a seeded run still reproduces.  A kind draws
+    its part of a round, at most 2 * CHUNK frames, as one batch.
 
     Args:
         g: input graph.
@@ -238,10 +239,18 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     t0 = time.perf_counter()
     if size not in (3, 4):
         raise ValueError(f"motif size must be 3 or 4, got {size}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    # numpy integers become ints, which JSON takes; a budget of 2.0 is refused
+    try:
+        seed = operator.index(seed)
+        budget = budget if budget is None else operator.index(budget)
+    except TypeError:
+        pass  # refused below
+    if not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if budget is None and target_cv is None:
         raise ValueError("need a sample budget or a target CV")
+    if budget is not None and not isinstance(budget, int):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget is not None and not 0 <= budget <= _INT64_MAX:
         raise ValueError("budget must be between 0 and 2**63 - 1")
     if target_cv is not None and not 0 < target_cv < math.inf:
@@ -282,20 +291,19 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
         else:
             draws = {active[0]: min(CHUNK, left)}
         for kind, m in draws.items():
-            if m and kind not in rngs:
+            if not m:
+                continue
+            if kind not in rngs:
                 rngs[kind] = np.random.default_rng(np.random.SeedSequence(
                     seed, spawn_key=(0, kinds.index(kind))))
             remaining[kind] -= m
             left -= m
             n[kind] += m
-            # in draws of at most CHUNK frames, which bounds the memory
-            for start in range(0, m, CHUNK):
-                codes = induced_subgraph_codes(
-                    g, samplers[kind].sample_batch(
-                        rngs[kind], min(CHUNK, m - start)).open_vertices,
-                    kind=kind)
-                hits[kind] += np.bincount(table.entries[codes],
-                                          minlength=table.n_classes)
+            codes = induced_subgraph_codes(
+                g, samplers[kind].sample_batch(rngs[kind], m).open_vertices,
+                kind=kind)
+            hits[kind] += np.bincount(table.entries[codes],
+                                      minlength=table.n_classes)
         if target_cv is not None:
             _, _, cv, lam, kind_parts, kind_var = _build_estimates(
                 koefs, totals, n, hits)

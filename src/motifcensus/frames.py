@@ -32,8 +32,8 @@ import numpy as np
 from .canon import arrcode_table
 from .graphs import Graph, pair_slots
 
-# frames unranked and classified in one vectorized call, by the exact walk
-# and by each round of sampling; bounds the memory of either
+# frames per vectorized unrank and classification: a chunk of the exact
+# walk, and a sampled round, one batch per kind, 2 * CHUNK at size 4
 CHUNK = 10_000
 
 
@@ -128,16 +128,6 @@ def _exact_sum(weights: np.ndarray) -> int:
             + int((weights & 0xFFFFFFFF).sum()))
 
 
-def _comb(k: np.ndarray, r: int) -> np.ndarray:
-    """C(k, r) per entry as int64, exact; one evaluation per distinct k."""
-    distinct, inverse = np.unique(k, return_inverse=True)
-    values = [math.comb(d, r) for d in distinct.tolist()]
-    if values and values[-1] > _INT64_MAX:
-        raise ValueError(f"{values[-1]} frames around one vertex exceed the "
-                         f"64-bit range")
-    return np.array(values, dtype=np.int64)[inverse]
-
-
 class _CumulativeWeights:
     """Integer cumulative weights: unit t of the total belongs to the item
     whose cumulative range holds it."""
@@ -203,11 +193,15 @@ class FrameSet:
         self.kind = FrameKind(kind)
         self._g = g
         if self.kind is FrameKind.CHAIN:
-            ku = g.degrees[g.edge_u]
-            kv = g.degrees[g.edge_v]
-            weights = (ku - 1) * (kv - 1)
+            weights = (g.degrees[g.edge_u] - 1) * (g.degrees[g.edge_v] - 1)
         else:
-            weights = _comb(g.degrees, self.kind.size - 1)
+            # C(k, r) at the largest degree bounds every product below
+            hub = math.comb(int(g.degrees.max(initial=0)), self.kind.size - 1)
+            if hub > _INT64_MAX:
+                raise ValueError(f"{hub} frames around one vertex exceed "
+                                 f"the 64-bit range")
+            choose = _choose2 if self.kind is FrameKind.FORK else _choose3
+            weights = choose(g.degrees)
         self._pick = _CumulativeWeights(weights)
 
     @property

@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motifcensus import cli
 from motifcensus.cli import DEFAULT_SEED, build_parser, main
@@ -291,3 +297,38 @@ def test_unknown_command_exits_with_usage():
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
+
+
+# edge-list files: well-formed pairs of small labels, lines of odd
+# tokens, any text, or bytes that need not decode
+LABELS = st.one_of(st.integers(-1, 12).map(str),
+                   st.sampled_from(["-0", "007", "1.5", "a", "\u00e9"]))
+TOKENS = st.one_of(LABELS, st.text(max_size=3),
+                   st.sampled_from(["#", "#1", "\t", "\r", "\x00"]))
+PAIRS = st.tuples(LABELS, LABELS).map(" ".join)
+EDGE_LISTS = st.one_of(
+    st.lists(st.one_of(PAIRS, st.sampled_from(["", "# c", " 1 2 "])),
+             max_size=25),
+    st.lists(st.one_of(PAIRS, st.lists(TOKENS, max_size=4).map(" ".join)),
+             max_size=25),
+    st.text(max_size=200).map(lambda text: [text]),
+    st.binary(max_size=200))
+
+
+@settings(derandomize=True, database=None, max_examples=300,
+          deadline=timedelta(seconds=5))
+@given(EDGE_LISTS, st.booleans(), st.sampled_from([
+    ["frames"], ["exact", "--size", "3"], ["exact", "--size", "4"],
+    ["sample", "--size", "3", "--samples", "300"],
+    ["sample", "--size", "4", "--target-cv", "0.3"],
+    ["sample", "--size", "4", "--samples", "500", "--target-cv", "0.2",
+     "--format", "csv"]]))
+def test_any_edge_list_succeeds_or_fails_cleanly(data, directed, command):
+    # bad input answers with exit code 1 and a message, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.txt"
+        path.write_bytes(data if isinstance(data, bytes)
+                         else "\n".join(data).encode())
+        argv = [*command, "-i", str(path)] + ["--directed"] * directed
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1)

@@ -282,6 +282,19 @@ def test_run_refuses_a_seed_that_is_not_a_nonnegative_integer(k4):
             run_sampled_census(k4, 4, budget=10, seed=seed)
 
 
+def test_run_takes_numpy_integers_and_refuses_floats(k4):
+    # numpy integers are plain ints in the report, which JSON takes
+    runs = [run_sampled_census(k4, 4, budget=budget, seed=seed).to_dict()
+            for budget, seed in ((3000, 11), (np.int64(3000), np.uint32(11)))]
+    for run in runs:
+        del run["elapsed"]
+    assert type(runs[1]["budget"]) is int and type(runs[1]["seed"]) is int
+    assert json.dumps(runs[1]) == json.dumps(runs[0])
+    for budget in (2.0, 20_000.0, np.float64(3000), "3000"):
+        with pytest.raises(ValueError, match="^budget must be an integer, "):
+            run_sampled_census(k4, 4, budget=budget, seed=1)
+
+
 def test_run_with_zero_budget_reports_nothing(k4):
     report = run_sampled_census(k4, 4, budget=0, seed=3)
     assert report.motifs == []
@@ -666,3 +679,46 @@ def test_seeded_streams_are_unchanged():
     assert {m["class_id"]: (m["detections"]["chain"],
                             m["detections"]["trident"])
             for m in report.motifs} == detections
+
+
+# (experiments, chain degenerate, {class_id: (chain, trident) detections})
+# of a seeded size-4 target run on the hub graph whose tridents sit on
+# their floor from round 2, so chains draw 18,000 frames a round
+SEEDED_TARGET_RUN = ({"chain": 82_000, "trident": 18_000}, 120,
+                     {3: (0, 17117), 6: (62454, 0), 7: (16768, 827),
+                      8: (992, 0), 9: (1561, 55), 10: (105, 1)})
+
+
+def test_seeded_target_run_draws_each_kind_once_a_round(monkeypatch):
+    g = _hub_graph()
+    classified = []
+    real_codes = estimator.induced_subgraph_codes
+
+    def codes(graph, vertices, *, kind):
+        classified.append(kind)
+        return real_codes(graph, vertices, kind=kind)
+    monkeypatch.setattr(estimator, "induced_subgraph_codes", codes)
+    draws = {kind: [] for kind in kinds_for_size(4)}
+    for kind in draws:
+        sampler = frame_sampler(g, kind)
+
+        def draw(rng, m, kind=kind, real=sampler.sample_batch):
+            draws[kind].append(m)
+            return real(rng, m)
+        sampler.sample_batch = draw
+    report = run_sampled_census(g, 4, target_cv=0.1, seed=2)
+    spent, degenerate, detections = SEEDED_TARGET_RUN
+    assert report.stop_reason == "target_cv"
+    assert {k: e["n_experiments"]
+            for k, e in report.experiments.items()} == spent
+    assert report.experiments["chain"]["degenerate"] == degenerate
+    assert {m["class_id"]: (m["detections"]["chain"],
+                            m["detections"]["trident"])
+            for m in report.motifs} == detections
+    # one draw and one classification per kind and round of 2 * CHUNK
+    rounds = -(-sum(spent.values()) // (2 * CHUNK))
+    assert rounds == 5
+    for kind, parts in draws.items():
+        assert len(parts) == rounds and sum(parts) == spent[kind.value]
+        assert classified.count(kind) == rounds
+    assert max(draws[FrameKind.CHAIN]) == 18_000 > CHUNK

@@ -80,6 +80,16 @@ def test_totals_and_weights_do_not_wrap():
         FrameSet(_degrees_only([5_000_000]), FrameKind.TRIDENT)
 
 
+def test_trident_weights_stop_at_the_64_bit_boundary():
+    # C(3,810,779, 3) is the largest trident weight int64 holds
+    top = 3_810_779
+    hub = _degrees_only([0, 2, top, 1])
+    assert FrameSet(hub, FrameKind.TRIDENT).total == 9_223_371_416_043_870_029
+    assert frame_totals(hub).n_trident == 9_223_371_416_043_870_029
+    with pytest.raises(ValueError, match="64-bit"):
+        FrameSet(_degrees_only([0, top + 1]), FrameKind.TRIDENT)
+
+
 def test_chain_totals_do_not_wrap():
     # four edges of weight (3e9 - 1)**2 ~ 9e18 each sum past 2**63
     k = np.array([3_000_000_000] * 8, dtype=np.int64)
