@@ -28,6 +28,7 @@ slots against splitmix64's 7 on a G(n=3000, m=15000) graph.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -193,27 +194,25 @@ def _build(arr: np.ndarray, labels: tuple, directed: bool) -> Graph:
                  load_report=report)
 
 
+def _blocks(text: str, start: int = 0, block: int = 1 << 16) -> Iterator[str]:
+    """text[start:] in pieces of about block characters, each ending just
+    after a "\n" (the last one at the text's end), so no line and no
+    "\r\n" is cut."""
+    while start < len(text):
+        end = text.find("\n", start + block) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
-    """text.splitlines(), split a block of about block characters at a time.
-
-    Each block ends just after a "\n", so no line and no "\r\n" is cut,
-    and only one block's lines are held at once.
-    """
-    def blocks():
-        start = 0
-        while start < len(text):
-            end = text.find("\n", start + block) + 1 or len(text)
-            yield text[start:end]
-            start = end
-    return chain.from_iterable(map(str.splitlines, blocks()))
+    """text.splitlines(), split one block at a time, so only one block's
+    lines are held at once."""
+    return chain.from_iterable(map(str.splitlines, _blocks(text, 0, block)))
 
 
-def loads_graph(text: str, directed: bool = False) -> Graph:
-    """Parse whitespace-separated edge-list text into a Graph.
-
-    One pair of vertex labels per line; blank lines and lines starting
-    with '#' are skipped.  Labels may be arbitrary tokens, not only ints.
-    """
+def _read_tokens(text: str) -> tuple[np.ndarray, tuple]:
+    """Pairs of dense ids and the labels behind them, from any edge-list
+    text, one line at a time."""
     ids: dict[str, int] = {}
     flat: list[int] = []
     for line_no, line in enumerate(_lines(text), 1):
@@ -228,10 +227,137 @@ def loads_graph(text: str, directed: bool = False) -> Graph:
         flat.append(ids.setdefault(v, len(ids)))
     if not flat:
         raise EdgeListError("empty edge list")
-    arr = np.array(flat, dtype=np.int64).reshape(-1, 2)
-    labels = tuple(ids)
-    del flat, ids  # freed before the build, which sets the load's peak
-    return _build(arr, labels, directed)
+    return np.array(flat, dtype=np.int64).reshape(-1, 2), tuple(ids)
+
+
+# the leading blank and '#' lines, a SNAP header; a comment ends at the
+# first line break str.splitlines knows
+_HEADER = re.compile(
+    r"(?:[ \t]*(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)?\r?\n)*")
+_POWERS_OF_TEN = np.array([10 ** k for k in range(1, 20)], dtype=np.uint64)
+
+
+def _decimal_length(values: np.ndarray) -> int:
+    """Characters of all the values written in canonical decimal."""
+    # |-2**63| wraps back to -2**63, which reads as 2**63 in uint64
+    magnitude = np.abs(values).view(np.uint64)
+    top = magnitude.max()
+    # a magnitude has one digit, and one more for each power of ten it reaches
+    return (values.size + np.count_nonzero(values < 0)
+            + sum(np.count_nonzero(magnitude >= p)
+                  for p in _POWERS_OF_TEN if p <= top))
+
+
+def _read_integers(text: str) -> tuple[np.ndarray, tuple] | None:
+    """What _read_tokens gives, for text whose lines past a header hold
+    two canonical decimal integers each, with "\n" ends; else None.
+
+    np.loadtxt parses a block at a time.  A token such as 007 or -0 parses
+    to an integer with a shorter canonical form, so a block holding one has
+    more non-blank characters than its values' decimal length.
+    """
+    start = _HEADER.match(text).end()
+    # at most one pair a line
+    pairs = np.empty((text.count("\n", start) + 1, 2), dtype=np.int64)
+    rows = 0
+    for block in _blocks(text, start):
+        if not block.isascii():
+            return None
+        # the block's non-blank characters, which may be digits and '-'
+        chars = block.encode().translate(None, b" \t\n")
+        if chars.translate(None, b"-0123456789"):
+            return None
+        if not chars:        # loadtxt warns on a block with no data
+            continue
+        try:
+            part = np.loadtxt(block.splitlines(), dtype=np.int64,
+                              comments=None, ndmin=2)
+        except ValueError:   # ragged lines, a stray '-', past int64
+            return None
+        if part.shape[1] != 2 or len(chars) != _decimal_length(part):
+            return None
+        pairs[rows:rows + len(part)] = part
+        rows += len(part)
+    if rows == 0:
+        return None
+    pairs = pairs[:rows]
+    values = _to_dense_ids(pairs.reshape(-1))
+    if values is None:
+        return None
+    return pairs, tuple(map(str, values.tolist()))
+
+
+# the id pass works through its keys this many at a time, so that no
+# temporary is more than a small part of the keys
+_SLICE = 1 << 16
+
+
+def _to_dense_ids(flat: np.ndarray) -> np.ndarray | None:
+    """Replace each value by its rank in order of first appearance, in
+    place, and return the distinct values in that order; None, with flat
+    untouched, when the values span too wide a range.
+
+    A sort of the keys (value - min) << b | position, where b bits hold
+    any position, puts each value's first appearance first among its keys.
+    Each key is then rewritten as position << b | rank, and a second sort
+    puts the ranks back in input order.  Temporaries as large as flat,
+    once freed, stayed on the heap and raised the peak memory of the
+    census that follows.
+    """
+    n = flat.size
+    lo, hi = int(flat.min()), int(flat.max())
+    b = n.bit_length()
+    if hi - lo >= 1 << (63 - b) or 2 * b > 63:
+        return None
+    low = (1 << b) - 1
+    slices = range(0, n, _SLICE)
+    flat -= lo
+    flat <<= b
+    for s in slices:
+        flat[s:s + _SLICE] |= np.arange(s, min(s + _SLICE, n))
+    flat.sort()
+    # a key whose value bits differ from the key before it starts a run
+    runs = [np.zeros(1, dtype=np.int64)]
+    for s in slices:
+        keys = flat[s:s + _SLICE + 1]
+        runs.append(np.flatnonzero(keys[1:] ^ keys[:-1] > low) + s + 1)
+    runs = np.concatenate(runs)
+    starts = flat[runs]
+    order = np.argsort(starts & low)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    for s in slices:
+        keys = flat[s:s + _SLICE]
+        # runs[a:z] start in this slice, after a runs
+        a, z = np.searchsorted(runs, (s, s + keys.size))
+        group = np.zeros(keys.size, dtype=np.int64)
+        group[runs[a:z] - s] = 1
+        np.cumsum(group, out=group)
+        group += a - 1
+        keys &= low
+        keys <<= b
+        keys |= rank[group]
+    flat.sort()
+    flat &= low
+    values = starts[order]
+    values >>= b
+    values += lo
+    return values
+
+
+def loads_graph(text: str, directed: bool = False) -> Graph:
+    """Parse whitespace-separated edge-list text into a Graph.
+
+    One pair of vertex labels per line; blank lines and lines starting
+    with '#' are skipped.  Labels may be arbitrary tokens, not only ints.
+    Text of canonical decimal integers with "\n" ends, past a header of
+    blank and '#' lines, is parsed by np.loadtxt; any other text, one line
+    at a time.  Both give the same graph; errors name the line.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"edge-list text must be str, got "
+                        f"{type(text).__name__}: open the file in text mode")
+    return _build(*(_read_integers(text) or _read_tokens(text)), directed)
 
 
 def load_graph(source: str | Path | IO[str], directed: bool = False) -> Graph:

@@ -1,10 +1,13 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motifcensus import (EdgeListError, FrameKind, Graph,
-                         induced_subgraph_codes, loads_graph, pair_slots)
+                         induced_subgraph_codes, load_graph, loads_graph,
+                         pair_slots)
 from motifcensus.frames import FrameSet
 from motifcensus.graphs import _lines, _mix, _PairTable
 from oracles import (arcs, dumps_graph, induced_code, parse_edge_list,
@@ -126,31 +129,51 @@ def test_dump_load_round_trip():
 # among them: a '#' starts a comment only as a line's first non-blank
 # character, and elsewhere it is part of a label
 TOKENS = st.text(alphabet="01ab#_\u00e9", min_size=1, max_size=3)
+# canonical decimal integers, near 0 and near the ends of int64, and
+# integer-like tokens that are kept as written, not as the integer they
+# parse to (or fail to, past int64)
+INTEGERS = (st.integers(-3, 12) | st.integers(-2**63, -2**63 + 2)
+            | st.integers(2**63 - 3, 2**63 - 1)).map(str)
+ODD_INTEGERS = st.sampled_from(["007", "-0", "00", "+7", "1#2",
+                                str(2**63), str(-2**63 - 1)])
 GAP = st.sampled_from([" ", "\t", "  ", " \t "])
 MARGIN = st.sampled_from(["", " ", "\t"])
+# a comment ends at any line break str.splitlines knows, as \x85 is
+HEADER = st.sampled_from(["", "# Directed graph: g.txt\n# Nodes: 9 Edges: 9\n",
+                          "#\n\n", " # FromNodeId\tToNodeId\r\n\t\n",
+                          "# 1\x85 2 3\n"])
 
 
 @st.composite
 def edge_list_texts(draw):
     """Edge-list text with self-loops, repeats, reciprocal pairs, comments,
-    blank lines, tabs, CRLF and the odd 1- or 3-token line."""
-    label = st.sampled_from(draw(st.lists(TOKENS, min_size=1, max_size=6)))
+    blank lines, tabs, CRLF and the odd 1- or 3-token line.  On a drawn
+    flag the labels are canonical integers, the lines end in "\n", and
+    comments come only in a header, as in a SNAP file."""
+    integers = draw(st.booleans())
+    tokens = INTEGERS if integers else TOKENS | INTEGERS | ODD_INTEGERS
+    label = st.sampled_from(draw(st.lists(tokens, min_size=1, max_size=6)))
     pairs = draw(st.lists(st.tuples(label, label), min_size=1, max_size=12))
     pairs += [(v, u) for u, v in draw(st.lists(st.sampled_from(pairs),
                                                  max_size=4))]
     lines = [draw(MARGIN) + u + draw(GAP) + v + draw(MARGIN)
              for u, v in pairs]
-    lines += draw(st.lists(MARGIN.map(lambda m: m + "#") | MARGIN, max_size=3))
-    lines += [draw(MARGIN) + "#" + draw(GAP).join(words) for words in
-              draw(st.lists(st.lists(TOKENS, max_size=3), max_size=2))]
+    lines += draw(st.lists(MARGIN if integers else
+                           MARGIN.map(lambda m: m + "#") | MARGIN,
+                           max_size=3))
+    if not integers:
+        lines += [draw(MARGIN) + "#" + draw(GAP).join(words) for words in
+                  draw(st.lists(st.lists(TOKENS, max_size=3), max_size=2))]
     lines += [draw(GAP).join(words) for words in draw(st.lists(
-        st.lists(TOKENS, min_size=1, max_size=3).filter(
+        st.lists(tokens, min_size=1, max_size=3).filter(
             lambda words: len(words) != 2), max_size=1))]
     lines = draw(st.permutations(lines))
-    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    ends = [draw(st.sampled_from(["\n"] if integers else ["\n", "\r\n"]))
+            for _ in lines]
     if ends and draw(st.booleans()):
         ends[-1] = ""
-    return "".join(line + end for line, end in zip(lines, ends))
+    head = draw(HEADER) if integers else ""
+    return head + "".join(line + end for line, end in zip(lines, ends))
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -207,13 +230,55 @@ def test_line_blocks_split_like_splitlines(text):
         assert list(_lines(text, block)) == text.splitlines()
 
 
-def test_loader_reads_past_a_block():
-    # 20,000 CRLF lines are about 220 KB, several blocks of lines
-    lines = [f"{i} {i + 1}\r\n" for i in range(20_000)]
-    assert loads_graph("".join(lines)).n_edges == 20_000
-    with pytest.raises(EdgeListError) as exc:
-        loads_graph("".join(lines) + "1 2 3\r\n")
-    assert exc.value.line_no == 20_001
+def _assert_same_graph(g, h):
+    assert g.labels == h.labels
+    assert g.load_report == h.load_report
+    for name in ("degrees", "adj_offsets", "adj_flat", "adj_bits", "edge_u",
+                 "edge_v", "edge_pos_in_u", "edge_pos_in_v"):
+        assert np.array_equal(getattr(g, name), getattr(h, name)), name
+
+
+def test_loader_reads_past_a_block(monkeypatch):
+    # 20,000 lines are about 220 KB, several blocks of lines; CRLF text is
+    # read a line at a time, "\n" text by np.loadtxt
+    lines = [f"{i} {i + 1}" for i in range(20_000)]
+    crlf = "".join(line + "\r\n" for line in lines)
+    lf = "".join(line + "\n" for line in lines)
+    header = "# Undirected graph: chain.txt\n# FromNodeId\tToNodeId\n"
+    g = loads_graph(crlf)
+    assert g.n_edges == 20_000
+    for text, skipped in ((crlf, 0), (lf, 0), (header + lf, 2)):
+        _assert_same_graph(loads_graph(text), g)
+        with pytest.raises(EdgeListError) as exc:
+            loads_graph(text + "1 2 3\n")
+        assert exc.value.line_no == 20_001 + skipped
+    # a label that is not a canonical integer is kept as it is written
+    lines[18_999] = "18999 007"
+    h = loads_graph("".join(line + "\n" for line in lines))
+    assert h.labels[19_000] == "007"
+    assert h.labels.index("19000") == 19_001
+
+    def no_lines(*args):
+        raise AssertionError("read a line at a time")
+    monkeypatch.setattr("motifcensus.graphs._lines", no_lines)
+    _assert_same_graph(loads_graph(header + lf), g)
+    # ids are made a slice of keys at a time; runs of equal values cross
+    # the ends of slices that do not divide the key count
+    monkeypatch.setattr("motifcensus.graphs._SLICE", 7)
+    _assert_same_graph(loads_graph(lf), g)
+
+
+def test_integers_past_int64_are_labels():
+    # np.loadtxt refuses them, so the text is read a line at a time
+    text = f"{2**63 - 1} {2**63}\n{-2**63} {-2**63 - 1}\n"
+    assert loads_graph(text).labels == tuple(text.split())
+
+
+def test_binary_input_is_refused():
+    with pytest.raises(TypeError, match="open the file in text mode"):
+        loads_graph(b"1 2\n")
+    with pytest.raises(TypeError, match="open the file in text mode"):
+        load_graph(io.BytesIO(b"1 2\n"))
 
 
 def test_from_edges_keeps_isolated_vertices():
