@@ -43,7 +43,7 @@ import numpy as np
 from .canon import arrcode_table
 from .frames import (_INT64_MAX, CHUNK, FrameKind, FrameTotals, KoefTable,
                      frame_sampler, frame_totals, kinds_for_size, koef_table)
-from .graphs import Graph, induced_subgraph_codes
+from .graphs import Graph, _pair_table, induced_subgraph_codes
 
 # classes detected fewer times than this are not held to the CV target
 MIN_DETECTIONS_FOR_CV = 5
@@ -265,6 +265,9 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     table = arrcode_table(size, g.directed)
     koefs = koef_table(size, g.directed)
     samplers = {k: frame_sampler(g, k) for k in active}
+    # the pair table's build sets the census's peak memory: build it
+    # before the first draw, so no batch is alive meanwhile
+    _pair_table(g)
     # the tally: experiments and per-class detections, per kind
     n = dict.fromkeys(kinds, 0)
     hits = {k: np.zeros(table.n_classes, dtype=np.int64) for k in kinds}
@@ -299,9 +302,12 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
             remaining[kind] -= m
             left -= m
             n[kind] += m
-            codes = induced_subgraph_codes(
-                g, samplers[kind].sample_batch(rngs[kind], m).open_vertices,
-                kind=kind)
+            verts, half = samplers[kind].sample_batch(
+                rngs[kind], m).open_frames
+            codes = induced_subgraph_codes(g, verts, kind=kind,
+                                           half_edges=half)
+            # no name keeps a batch's frames alive into the next draw
+            del verts, half
             hits[kind] += np.bincount(table.entries[codes],
                                       minlength=table.n_classes)
         if target_cv is not None:

@@ -50,10 +50,13 @@ def exact_census(g: Graph, size: int) -> ExactCensus:
         hits = np.zeros(table.n_classes, dtype=np.int64)
         frames = FrameSet(g, kind)
         for start in range(0, frames.total, CHUNK):
-            # no name keeps a chunk's frames alive into the next unrank
-            codes = induced_subgraph_codes(g, frames.unrank(np.arange(
+            verts, half = frames.unrank(np.arange(
                 start, min(start + CHUNK, frames.total),
-                dtype=np.int64)).open_vertices, kind=kind)
+                dtype=np.int64)).open_frames
+            codes = induced_subgraph_codes(g, verts, kind=kind,
+                                           half_edges=half)
+            # no name keeps a chunk's frames alive into the next unrank
+            del verts, half
             hits += np.bincount(table.entries[codes],
                                 minlength=table.n_classes)
         koef = koefs.counts[kind]

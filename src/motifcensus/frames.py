@@ -13,10 +13,13 @@ likely.  A chain around edge (i, j) has one extra neighbor on each side;
 when both coincide the frame is degenerate: a sampled one still consumes
 one experiment but cannot detect any motif.
 
-Frames live on the undirected view; directed graphs are classified
-afterwards from their arcs.  Containment coefficients (how many frames of
-a kind lie inside one motif instance) are counted by the same ranking, run
-on one graph that holds every class representative (see koef_table).
+Frames live on the undirected view: a frame's tree pairs are edges, each
+picked as a half-edge, one entry of a CSR row (see Graph).  On a directed
+graph the unranker returns those half-edges with the frame, and the
+classifier reads the tree pairs' arc directions from them; only the
+closing pairs are looked up.  Containment coefficients (how many frames
+of a kind lie inside one motif instance) are counted by the same ranking,
+run on one graph that holds every class representative (see koef_table).
 """
 
 from __future__ import annotations
@@ -48,12 +51,14 @@ class FrameKind(str, Enum):
 
     @property
     def tree_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Rows i < j of a FrameBatch column that every frame joins."""
+        """Rows (r, c) of a FrameBatch column that every frame joins, in the
+        order of FrameBatch.half_edges: the frame picks each as a half-edge
+        in row r's CSR row."""
         if self is FrameKind.FORK:
-            return ((0, 1), (1, 2))
+            return ((1, 0), (1, 2))
         if self is FrameKind.TRIDENT:
             return ((0, 1), (0, 2), (0, 3))
-        return ((0, 1), (1, 2), (2, 3))
+        return ((1, 0), (1, 2), (2, 3))
 
 
 def kinds_for_size(size: int) -> tuple[FrameKind, ...]:
@@ -100,22 +105,31 @@ class FrameBatch:
     fork     (leaf, center, leaf)
     trident  (hub, leaf, leaf, leaf)
     chain    (end, middle, middle, end); degenerate when the ends coincide
+
+    On a directed graph, half_edges holds one row per tree pair (r, c) of
+    the kind's tree_pairs: the index into Graph.adj_flat of the half-edge
+    from vertex r to vertex c, so Graph.adj_bits there holds the arc r -> c
+    in bit 0 and the arc c -> r in bit 1.  None on an undirected graph,
+    where no classifier reads them.
     """
 
     vertices: np.ndarray
     degenerate: np.ndarray
+    half_edges: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return int(self.vertices.shape[1])
 
     @property
-    def open_vertices(self) -> np.ndarray:
-        """The columns of the frames that are not degenerate; no copy when
-        none is."""
-        if self.degenerate.any():
-            return self.vertices[:, ~self.degenerate]
-        return self.vertices
+    def open_frames(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The vertices and half-edges of the frames that are not
+        degenerate; no copy when none is."""
+        if not self.degenerate.any():
+            return self.vertices, self.half_edges
+        keep = ~self.degenerate
+        return (self.vertices[:, keep],
+                None if self.half_edges is None else self.half_edges[:, keep])
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -209,26 +223,40 @@ class FrameSet:
         return self._pick.total
 
     def unrank(self, t: np.ndarray) -> FrameBatch:
-        """The frames of ranks t, one column each."""
+        """The frames of ranks t, one column each, with their half-edges on
+        a directed graph."""
         g = self._g
         i, r = self._pick.locate(t)
         if self.kind is FrameKind.CHAIN:
             u = g.edge_u[i]
             v = g.edge_v[i]
             ia, ib = np.divmod(r, g.degrees[v] - 1)
-            ia += ia >= g.edge_pos_in_u[i]  # skip v in u's row
+            mid = g.edge_pos_in_u[i]
+            ia += ia >= mid                 # skip v in u's row
             ib += ib >= g.edge_pos_in_v[i]  # skip u in v's row
-            a = g.adj_flat[g.adj_offsets[u] + ia]
-            b = g.adj_flat[g.adj_offsets[v] + ib]
-            return FrameBatch(np.stack([a, u, v, b]), a == b)
-        row = g.adj_offsets[i]
+            # row positions become half-edges
+            row = g.adj_offsets[u]
+            ia += row
+            ib += g.adj_offsets[v]
+            a = g.adj_flat[ia]
+            b = g.adj_flat[ib]
+            half = None
+            if g.directed:
+                mid += row
+                half = np.stack([ia, mid, ib])
+            # free the indices before the vertices are stacked
+            del ia, mid, ib, row
+            return FrameBatch(np.stack([a, u, v, b]), a == b, half)
+        colex = _colex_pair if self.kind is FrameKind.FORK else _colex_triple
+        half = g.adj_offsets[i] + np.stack(colex(r))
+        leaves = g.adj_flat[half]
+        if not g.directed:
+            half = None     # freed before the vertices are stacked
         if self.kind is FrameKind.FORK:
-            a, b = g.adj_flat[row + np.stack(_colex_pair(r))]
-            verts = np.stack([a, i, b])
+            verts = np.stack([leaves[0], i, leaves[1]])
         else:
-            leaves = g.adj_flat[row + np.stack(_colex_triple(r))]
             verts = np.vstack([i, leaves])
-        return FrameBatch(verts, np.zeros(t.size, dtype=bool))
+        return FrameBatch(verts, np.zeros(t.size, dtype=bool), half)
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> FrameBatch:
         """Uniform frames: integer ranks keep every frame equally likely.
@@ -300,8 +328,9 @@ def koef_table(size: int, directed: bool = False) -> KoefTable:
     counts = {}
     for kind in kinds_for_size(size):
         frames = FrameSet(reps, kind)
-        batch = frames.unrank(np.arange(frames.total, dtype=np.int64))
-        vals = np.bincount(batch.open_vertices[0] // size,
+        verts, _ = frames.unrank(
+            np.arange(frames.total, dtype=np.int64)).open_frames
+        vals = np.bincount(verts[0] // size,
                            minlength=table.n_classes)
         vals.setflags(write=False)
         counts[kind] = vals

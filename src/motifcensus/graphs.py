@@ -1,13 +1,15 @@
 """Simple-graph loading, normalization, and induced-subgraph bitmask codes.
 
 Vertices are remapped to dense ids 0..n-1 in order of first appearance; the
-original labels are kept so the mapping is invertible.  A pair (u, v) is
-two half-edges, keys u * n + v and v * n + u, tagged in 2 low bits: 1 at
-row u and 2 at row v for the arc u -> v, 3 at both for an edge.  One sort
-of the tagged keys gives the CSR adjacency, rows sorted by neighbor, with
-the OR of each half-edge's tags as its direction bits, adj_bits.  So
-reciprocal arcs collapse to a single undirected edge; degrees always
-refer to the collapsed view.
+original labels are kept so the mapping is invertible.  An edge {u, v} has
+two half-edges, one in each end's CSR row: the entry v in row u and the
+entry u in row v, each named by its index into adj_flat.  The loader keys
+them u * n + v and v * n + u, tagged in 2 low bits: 1 at row u and 2 at
+row v for the arc u -> v, 3 at both for an edge.  One sort of the tagged
+keys gives the CSR adjacency, rows sorted by neighbor, with the OR of each
+half-edge's tags as its direction bits, adj_bits.  So reciprocal arcs
+collapse to a single undirected edge; degrees always refer to the
+collapsed view.
 
 A set of 3 or 4 vertices maps to an integer code, one bit per vertex pair
 (ordered pairs for directed graphs).  Pairs are enumerated in lexicographic
@@ -19,8 +21,10 @@ u < v, with linear probing and at least two slots per edge.  Each entry
 carries 2 direction bits, arc u -> v and arc v -> u (both set on an
 undirected graph), so one lookup per vertex pair answers both ordered
 pairs of a directed graph.  A frame's tree pairs are edges by
-construction, so on an undirected graph only its closing pairs are looked
-up.  Home slots come from the splitmix64 finalizer, which scatters the
+construction, so only its closing pairs are looked up: on an undirected
+graph the tree pairs' bits are known, and on a directed graph they are
+gathered from adj_bits through the half-edges the frame was built from.
+Home slots come from the splitmix64 finalizer, which scatters the
 regular keys u * n + v: a lookup may read as far past a home slot as the
 table's largest displacement, and with multiply-shift hashing that was 33
 slots against splitmix64's 7 on a G(n=3000, m=15000) graph.
@@ -463,42 +467,107 @@ def _pair_table(g: Graph) -> _PairTable:
     return g._pair_table
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """values as an int64 array, no copy when they are one; refuses any
+    other dtype than integers, unless there are no values."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 @lru_cache(maxsize=None)
-def _lookup_plan(size: int, directed: bool, kind) -> tuple:
-    """Rows i < j to look up, each with the slots of (i, j) and (j, i), and
-    the bits of the pairs that are edges by construction."""
+def _lookup_plan(size: int, directed: bool, kind, half_edges: bool) -> tuple:
+    """Rows i < j to look up, each with the slots of (i, j) and (j, i); and
+    known, a read-only array of the codes of the pairs that need no lookup.
+
+    Given kind, the tree pairs are edges by construction.  On an undirected
+    graph that settles them, and known holds their one code.  On a directed
+    graph it settles them only with half_edges: known is then indexed by
+    their direction bits, those of tree pair t at bits 2t and 2t + 1.
+    Without kind, or on a directed graph without half_edges, every pair is
+    looked up and known holds the code 0.
+    """
     slot = {pair: s for s, pair in enumerate(pair_slots(size, directed))}
-    tree = () if kind is None or directed else kind.tree_pairs
+    tree = ()
+    if kind is not None and (half_edges or not directed):
+        tree = kind.tree_pairs
+    if directed and tree:
+        index = np.arange(4 ** len(tree))
+        known = np.zeros(index.size, dtype=np.int64)
+        for t, (r, c) in enumerate(tree):
+            bits = index >> 2 * t
+            known |= (bits & 1) << slot[r, c] | (bits >> 1 & 1) << slot[c, r]
+    else:
+        known = np.array([sum(1 << slot[min(p), max(p)] for p in tree)],
+                         dtype=np.int64)
+    known.setflags(write=False)
+    settled = {(min(p), max(p)) for p in tree}
     lookups = tuple((i, j, slot[i, j], slot.get((j, i)))
-                    for i, j in pair_slots(size, False) if (i, j) not in tree)
-    return lookups, sum(1 << slot[pair] for pair in tree)
+                    for i, j in pair_slots(size, False)
+                    if (i, j) not in settled)
+    return lookups, known
 
 
 def induced_subgraph_codes(g: Graph, vertices: np.ndarray, *,
-                           kind: FrameKind | None = None) -> np.ndarray:
+                           kind: FrameKind | str | None = None,
+                           half_edges: np.ndarray | None = None
+                           ) -> np.ndarray:
     """Induced-subgraph bitmask of each column of a (k, batch) array.
 
-    Each column holds 3 or 4 distinct vertices.  Bit s is set when the pair
-    at slot s (see pair_slots) is an edge, or an arc for directed graphs.
-    A code depends on the vertex order; use the class tables to get an
-    order-free identity.
+    Each column holds 3 or 4 distinct vertices, as integers.  Bit s is set
+    when the pair at slot s (see pair_slots) is an edge, or an arc for
+    directed graphs.  A code depends on the vertex order; use the class
+    tables to get an order-free identity.
 
-    With kind, a FrameKind, every column is a frame of that kind in the
-    FrameBatch layout: on an undirected graph its tree pairs are edges by
-    construction, so only its closing pairs are looked up.  A directed
-    graph looks up every pair, once, for the arcs both ways.
+    With kind, a FrameKind or its name, every column is an open frame of
+    that kind in the FrameBatch layout, and is trusted to be one: its tree
+    pairs are edges by construction, so on an undirected graph only its
+    closing pairs are looked up.  A directed graph needs the tree pairs'
+    arcs too; given half_edges, the frames' FrameBatch.half_edges, it reads
+    them with one gather from adj_bits and looks up only the closing
+    pairs.  The half-edges are trusted as well: the one of tree pair (r, c)
+    must lie in vertex r's row and hold c.  Only their shape and range are
+    checked.  Without half_edges, a directed graph looks up every pair,
+    once, for the arcs both ways.
     """
-    verts = np.asarray(vertices, dtype=np.int64)
+    verts = _integers(vertices, "vertex ids")
     k = verts.shape[0]
-    if kind is not None and kind.size != k:
-        raise ValueError(f"{kind.value}s have {kind.size} vertices, "
-                         f"got {k} rows")
+    if kind is not None:
+        from .frames import FrameKind
+        kind = FrameKind(kind)
+        if kind.size != k:
+            raise ValueError(f"{kind.value}s have {kind.size} vertices, "
+                             f"got {k} rows")
+    if half_edges is not None:
+        if kind is None:
+            raise ValueError("half_edges need the frame kind")
+        half = _integers(half_edges, "half-edges")
+        shape = (len(kind.tree_pairs), verts.shape[1])
+        if half.shape != shape:
+            raise ValueError(f"{kind.value} half-edges must have shape "
+                             f"{shape}, got {half.shape}")
+        if half.size and half.view(np.uint64).max() >= g.adj_flat.size:
+            raise ValueError(f"half-edges must be in 0 .. "
+                             f"{g.adj_flat.size - 1}")
     # a negative id wraps past every valid one, so one max checks both ends
     if verts.size and verts.view(np.uint64).max() >= g.n_vertices:
         raise ValueError(f"vertex ids must be in 0 .. {g.n_vertices - 1}")
-    lookups, tree_bits = _lookup_plan(k, g.directed, kind)
+    if kind is None:
+        for i, j in pair_slots(k, False):
+            if (verts[i] == verts[j]).any():
+                raise ValueError(f"a column repeats a vertex in rows {i} "
+                                 f"and {j}")
+    lookups, known = _lookup_plan(k, g.directed, kind, half_edges is not None)
+    if known.size > 1:
+        bits = g.adj_bits[half]
+        index = bits[0]
+        for t in range(1, len(bits)):
+            index |= bits[t] << 2 * t
+        codes = known[index]
+    else:
+        codes = np.full(verts.shape[1], known[0])
     table = _pair_table(g)
-    codes = np.full(verts.shape[1], tree_bits, dtype=np.int64)
     # one pair at a time: one lookup of all pairs stacked ran 10-20 %
     # faster, but its arrays raised peak memory by more than the table
     for i, j, forward, backward in lookups:

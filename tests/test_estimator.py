@@ -632,10 +632,11 @@ def test_traced_entry_points_see_every_frame(monkeypatch, size, directed):
     classified = dict.fromkeys(kinds_for_size(size), 0)
     real_codes = estimator.induced_subgraph_codes
 
-    def codes(graph, vertices, *, kind):
+    def codes(graph, vertices, *, kind, half_edges=None):
         assert are_open_frames(graph, kind, vertices)
+        assert (half_edges is not None) == graph.directed
         classified[kind] += vertices.shape[1]
-        return real_codes(graph, vertices, kind=kind)
+        return real_codes(graph, vertices, kind=kind, half_edges=half_edges)
     monkeypatch.setattr(estimator, "induced_subgraph_codes", codes)
     draws = {kind: [] for kind in kinds_for_size(size)}
     for kind in draws:
@@ -694,9 +695,9 @@ def test_seeded_target_run_draws_each_kind_once_a_round(monkeypatch):
     classified = []
     real_codes = estimator.induced_subgraph_codes
 
-    def codes(graph, vertices, *, kind):
+    def codes(graph, vertices, *, kind, half_edges=None):
         classified.append(kind)
-        return real_codes(graph, vertices, kind=kind)
+        return real_codes(graph, vertices, kind=kind, half_edges=half_edges)
     monkeypatch.setattr(estimator, "induced_subgraph_codes", codes)
     draws = {kind: [] for kind in kinds_for_size(4)}
     for kind in draws:

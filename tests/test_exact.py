@@ -142,9 +142,9 @@ def _count_classify_calls(monkeypatch):
     calls = []
     real = exact.induced_subgraph_codes
 
-    def counted(g, verts, *, kind):
+    def counted(g, verts, *, kind, half_edges=None):
         calls.append((kind, verts.shape[1]))
-        return real(g, verts, kind=kind)
+        return real(g, verts, kind=kind, half_edges=half_edges)
     monkeypatch.setattr(exact, "induced_subgraph_codes", counted)
     return calls
 
@@ -184,7 +184,7 @@ def test_inconsistent_hits_raise(monkeypatch):
     g = random_graph(rng, 9, 0.5, False)
     kinds = []
 
-    def clique(g, v, *, kind):
+    def clique(g, v, *, kind, half_edges=None):
         kinds.append(kind)
         return np.full(v.shape[1], 0b111111)
     monkeypatch.setattr(exact, "induced_subgraph_codes", clique)
@@ -201,10 +201,11 @@ def test_traced_classification_sees_every_frame(monkeypatch):
     classified = dict.fromkeys(ALL_KINDS, 0)
     real_codes = exact.induced_subgraph_codes
 
-    def codes(graph, vertices, *, kind):
+    def codes(graph, vertices, *, kind, half_edges=None):
         assert are_open_frames(graph, kind, vertices)
+        assert (half_edges is not None) == graph.directed
         classified[kind] += vertices.shape[1]
-        return real_codes(graph, vertices, kind=kind)
+        return real_codes(graph, vertices, kind=kind, half_edges=half_edges)
     monkeypatch.setattr(exact, "induced_subgraph_codes", codes)
     totals = frame_totals(g)
     exact_census(g, 3)

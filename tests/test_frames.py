@@ -187,6 +187,27 @@ def test_a_draw_unranks_uniform_ranks(kind):
     assert np.array_equal(drawn.degenerate, unranked.degenerate)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_half_edges_name_the_tree_pairs(kind):
+    # on a directed graph, tree pair (r, c) of every frame is the half-edge
+    # that sits in r's CSR row and holds c; open_frames keeps the columns
+    # of both arrays together
+    for directed in (False, True):
+        g = random_graph(np.random.default_rng(37), 14, 0.4, directed)
+        frames = FrameSet(g, kind)
+        batch = frames.unrank(np.arange(frames.total, dtype=np.int64))
+        verts, half = batch.open_frames
+        if not directed:
+            assert batch.half_edges is None and half is None
+            continue
+        assert batch.half_edges.shape == (len(kind.tree_pairs), batch.size)
+        assert half.shape == (len(kind.tree_pairs), verts.shape[1])
+        for t, (r, c) in enumerate(kind.tree_pairs):
+            assert np.array_equal(g.adj_flat[half[t]], verts[c])
+            assert (g.adj_offsets[verts[r]] <= half[t]).all()
+            assert (half[t] < g.adj_offsets[verts[r] + 1]).all()
+
+
 def test_sampling_is_deterministic(k4):
     sampler = frame_sampler(k4, FrameKind.CHAIN)
     a = sampler.sample_batch(np.random.default_rng(99), 64)

@@ -360,18 +360,55 @@ def test_code_respects_vertex_order():
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(small_graphs())
 def test_frame_codes_match_the_oracle(g):
-    # with its kind, a frame's tree pairs are not looked up; the codes
-    # must still be those of every pair looked up
+    # with its kind, a frame's tree pairs are not looked up: their bits are
+    # known on an undirected graph, and read through the frame's
+    # half-edges on a directed one; the codes must still be those of every
+    # pair looked up
     for kind in (FrameKind.FORK, FrameKind.CHAIN, FrameKind.TRIDENT):
         frames = FrameSet(g, kind)
-        batch = frames.unrank(np.arange(frames.total, dtype=np.int64))
-        verts = batch.vertices[:, ~batch.degenerate]
+        verts, half = frames.unrank(
+            np.arange(frames.total, dtype=np.int64)).open_frames
+        assert (half is not None) == g.directed
+        every_pair = induced_subgraph_codes(g, verts).tolist()
+        assert every_pair == [induced_code(g, col) for col in verts.T]
         codes = induced_subgraph_codes(g, verts, kind=kind)
-        assert codes.tolist() == induced_subgraph_codes(g, verts).tolist()
-        assert codes.tolist() == [induced_code(g, col) for col in verts.T]
+        assert codes.tolist() == every_pair
+        if g.directed:
+            codes = induced_subgraph_codes(g, verts, kind=kind,
+                                           half_edges=half)
+            assert codes.tolist() == every_pair
         if verts.shape[1]:
+            one = None if half is None else half[:, :1]
             assert induced_subgraph_codes(
-                g, verts[:, :1], kind=kind).tolist() == codes[:1].tolist()
+                g, verts[:, :1], kind=kind,
+                half_edges=one).tolist() == codes[:1].tolist()
+
+
+@pytest.mark.parametrize("kind,with_half,without_half",
+                         [(FrameKind.FORK, 1, 3), (FrameKind.CHAIN, 3, 6),
+                          (FrameKind.TRIDENT, 3, 6)])
+def test_directed_frames_look_up_only_their_closing_pairs(
+        monkeypatch, kind, with_half, without_half):
+    # keys sent to the pair table per frame: the closing pairs only when
+    # the tree pairs' arcs come from the half-edges, every pair without
+    g = random_graph(np.random.default_rng(23), 16, 0.4, directed=True)
+    sent = []
+    real = _PairTable.lookup
+
+    def lookup(table, keys):
+        sent.append(keys.size)
+        return real(table, keys)
+    monkeypatch.setattr(_PairTable, "lookup", lookup)
+    frames = FrameSet(g, kind)
+    verts, half = frames.unrank(
+        np.arange(frames.total, dtype=np.int64)).open_frames
+    frames_in = verts.shape[1]
+    assert frames_in > 0
+    induced_subgraph_codes(g, verts, kind=kind, half_edges=half)
+    assert sum(sent) == with_half * frames_in
+    sent.clear()
+    induced_subgraph_codes(g, verts, kind=kind)
+    assert sum(sent) == without_half * frames_in
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -395,6 +432,64 @@ def test_kind_must_match_the_rows(k4):
     with pytest.raises(ValueError, match="chains have 4 vertices"):
         induced_subgraph_codes(k4, np.array([[0], [1], [2]]),
                                kind=FrameKind.CHAIN)
+
+
+def test_codes_refuse_non_integer_vertices(path3):
+    # truncated, the columns would read (0, 1, 2)
+    with pytest.raises(ValueError, match="vertex ids must be integers"):
+        induced_subgraph_codes(path3, [[0.9], [1.5], [2.2]])
+    assert induced_subgraph_codes(path3, [[0], [1], [2]]).tolist() == [0b101]
+
+
+def test_codes_take_a_kind_by_name(path3):
+    verts = np.array([[0], [1], [2]])
+    assert induced_subgraph_codes(path3, verts, kind="fork").tolist() == \
+        [0b101]
+    with pytest.raises(ValueError, match="'spoon' is not a valid FrameKind"):
+        induced_subgraph_codes(path3, verts, kind="spoon")
+
+
+def test_codes_refuse_a_repeated_vertex(path3):
+    with pytest.raises(ValueError, match="repeats a vertex in rows 0 and 1"):
+        induced_subgraph_codes(path3, np.array([[0], [0], [1]]))
+
+
+def _directed_forks():
+    # the directed path 0 -> 1 -> 2 holds one fork, (0, 1, 2), centred on 1
+    g = Graph.from_edges(3, [(0, 1), (1, 2)], directed=True)
+    verts, half = FrameSet(g, FrameKind.FORK).unrank(
+        np.arange(1, dtype=np.int64)).open_frames
+    return g, verts, half
+
+
+def test_half_edges_need_the_kind():
+    g, verts, half = _directed_forks()
+    assert induced_subgraph_codes(g, verts, kind="fork",
+                                  half_edges=half).tolist() == \
+        [_code(g, verts[:, 0])]
+    with pytest.raises(ValueError, match="half_edges need the frame kind"):
+        induced_subgraph_codes(g, verts, half_edges=half)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2,), (3, 1)])
+def test_half_edges_must_have_a_row_per_tree_pair(shape):
+    g, verts, _ = _directed_forks()
+    with pytest.raises(ValueError, match=r"must have shape \(2, 1\)"):
+        induced_subgraph_codes(g, verts, kind=FrameKind.FORK,
+                               half_edges=np.zeros(shape, dtype=np.int64))
+
+
+@pytest.mark.parametrize("bad", [4, -1, -4])
+def test_half_edges_must_lie_in_the_adjacency(bad):
+    # 4 half-edges; -1 would wrap to the last of them
+    g, verts, half = _directed_forks()
+    assert g.adj_flat.size == 4
+    with pytest.raises(ValueError, match=r"half-edges must be in 0 \.\. 3"):
+        induced_subgraph_codes(g, verts, kind=FrameKind.FORK,
+                               half_edges=np.array([[half[0, 0]], [bad]]))
+    with pytest.raises(ValueError, match="half-edges must be integers"):
+        induced_subgraph_codes(g, verts, kind=FrameKind.FORK,
+                               half_edges=half.astype(float))
 
 
 def test_pair_table_spills_past_its_last_home_slot():
