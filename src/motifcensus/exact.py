@@ -11,10 +11,21 @@ Frames are walked in vectorized chunks of ranks 0 .. total - 1, unranked by
 the same FrameSet that sampling draws random ranks from.  The division
 doubles as a check: hits must be whole multiples of koef, and chains and
 tridents must agree on every class both of them see.
+
+On Linux, where os.sched_getaffinity exists, a process that may run on
+two CPUs or more and runs no other Python thread walks a kind with at
+least _SPLIT_FROM frames in two processes: a helper forked for that kind
+walks the upper half of the ranks and pipes its hits back, and this
+process walks the lower half.  Hits are bincount sums, so the counts do
+not depend on the split.  No helper outlives the call.  `taskset -c 0`
+keeps a run on one CPU, and so in one process.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
 import time
 from dataclasses import dataclass
 
@@ -23,6 +34,10 @@ import numpy as np
 from .canon import arrcode_table
 from .frames import CHUNK, FrameSet, kinds_for_size, koef_table
 from .graphs import Graph, induced_subgraph_codes
+
+# frames of one kind from which a helper walks half of them: about where
+# the fork and its copy-on-write faults cost as much as the chunks saved
+_SPLIT_FROM = 8 * CHUNK
 
 
 @dataclass
@@ -47,18 +62,11 @@ def exact_census(g: Graph, size: int) -> ExactCensus:
     counts = np.zeros(table.n_classes, dtype=np.int64)
     counted = np.zeros(table.n_classes, dtype=bool)
     for kind in kinds:
-        hits = np.zeros(table.n_classes, dtype=np.int64)
         frames = FrameSet(g, kind)
-        for start in range(0, frames.total, CHUNK):
-            verts, half = frames.unrank(np.arange(
-                start, min(start + CHUNK, frames.total),
-                dtype=np.int64)).open_frames
-            codes = induced_subgraph_codes(g, verts, kind=kind,
-                                           half_edges=half)
-            # no name keeps a chunk's frames alive into the next unrank
-            del verts, half
-            hits += np.bincount(table.entries[codes],
-                                minlength=table.n_classes)
+        if frames.total >= _SPLIT_FROM and _helper_allowed():
+            hits = _walk_split(g, frames, kind, table)
+        else:
+            hits = _walk(g, frames, kind, table, 0, frames.total)
         koef = koefs.counts[kind]
         sees = koef > 0
         found, rest = np.divmod(hits, np.where(sees, koef, 1))
@@ -75,3 +83,76 @@ def exact_census(g: Graph, size: int) -> ExactCensus:
                 for cls in table.classes if cls.connected}
     return ExactCensus(size, g.directed, by_class,
                        time.perf_counter() - t0)
+
+
+def _helper_allowed() -> bool:
+    """Whether a forked helper may share a walk: this process may run on
+    two CPUs or more, and runs no other Python thread, whose locks the
+    helper would inherit held."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return False
+    return len(os.sched_getaffinity(0)) >= 2
+
+
+def _walk(g: Graph, frames: FrameSet, kind, table, start: int,
+          stop: int) -> np.ndarray:
+    """Per-class hits of the frames of ranks start .. stop - 1."""
+    hits = np.zeros(table.n_classes, dtype=np.int64)
+    for lo in range(start, stop, CHUNK):
+        verts, half = frames.unrank(np.arange(
+            lo, min(lo + CHUNK, stop), dtype=np.int64)).open_frames
+        codes = induced_subgraph_codes(g, verts, kind=kind, half_edges=half)
+        # no name keeps a chunk's frames alive into the next unrank
+        del verts, half
+        hits += np.bincount(table.entries[codes], minlength=table.n_classes)
+    return hits
+
+
+def _walk_split(g: Graph, frames: FrameSet, kind, table) -> np.ndarray:
+    """_walk over every rank, the upper half in a forked helper.
+
+    The helper walks from the chunk boundary nearest total / 2, writes its
+    int64 hits to a pipe and exits: status 0 on success, 1 on any
+    exception.  This process walks the rest, reads the pipe to EOF and
+    reaps the helper; on any exception here, it kills and reaps it first.
+    When no process can be forked, this one walks every rank.
+    """
+    total = frames.total
+    mid = (total + CHUNK) // (2 * CHUNK) * CHUNK
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        # no process to spare: one process gives the same counts
+        os.close(read)
+        os.close(write)
+        return _walk(g, frames, kind, table, 0, total)
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as out:
+                out.write(_walk(g, frames, kind, table, mid, total).tobytes())
+            status = 0
+        except Exception:
+            import traceback
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+    os.close(write)
+    reaped = False
+    try:
+        with open(read, "rb") as src:
+            hits = _walk(g, frames, kind, table, 0, mid)
+            data = src.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if code or len(data) != hits.nbytes:
+        raise RuntimeError(
+            f"the helper walking {kind.value} ranks {mid} .. {total - 1} "
+            f"failed (exit code {code}, {len(data)} of {hits.nbytes} bytes)")
+    return hits + np.frombuffer(data, dtype=np.int64)

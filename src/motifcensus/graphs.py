@@ -532,6 +532,9 @@ def induced_subgraph_codes(g: Graph, vertices: np.ndarray, *,
     once, for the arcs both ways.
     """
     verts = _integers(vertices, "vertex ids")
+    if verts.ndim != 2:
+        raise ValueError(f"vertices must have shape (k, batch), got "
+                         f"{verts.shape}")
     k = verts.shape[0]
     if kind is not None:
         from .frames import FrameKind

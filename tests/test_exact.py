@@ -1,3 +1,5 @@
+import os
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -227,3 +229,166 @@ def test_disconnected_components_do_not_mix():
     table = arrcode_table(3, False)
     assert nonzero(c3) == {table.entries[0b101]: 2}
     assert nonzero(exact_census(g, 4)) == {}
+
+
+# -- the walk shared with a forked helper --------------------------------
+
+
+def _force_split(mp, chunk=None):
+    # every kind with a frame is split, whatever the host's CPUs; a small
+    # chunk gives both halves several chunks on small graphs
+    mp.setattr(exact, "_SPLIT_FROM", 1)
+    mp.setattr(exact.os, "sched_getaffinity", lambda pid: {0, 1},
+               raising=False)
+    if chunk is not None:
+        mp.setattr(exact, "CHUNK", chunk)
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real = exact.os.fork
+
+    def fork():
+        forks.append(exact.os.getpid())
+        return real()
+    monkeypatch.setattr(exact.os, "fork", fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_split_counts_equal_one_process(monkeypatch, directed):
+    rng = np.random.default_rng(58)
+    graphs = [random_graph(rng, int(rng.integers(6, 14)),
+                           float(rng.uniform(0.2, 0.7)), directed)
+              for _ in range(4)]
+    want = [[exact_census(g, size).counts for size in (3, 4)]
+            for g in graphs]
+    _force_split(monkeypatch, chunk=7)
+    forks = _count_forks(monkeypatch)
+    got = [[exact_census(g, size).counts for size in (3, 4)]
+           for g in graphs]
+    assert got == want
+    # one helper per kind: forks at size 3, chains and tridents at size 4
+    assert len(forks) == 3 * len(graphs)
+    _assert_no_child_left()
+
+
+def test_split_halves_meet_at_a_chunk_boundary(monkeypatch):
+    # K_16's 23,520 chains split at rank 10,000: the parent classifies the
+    # open chains of ranks 0 .. 9,999 only, and the helper the rest; its
+    # 7,280 tridents stay below the threshold
+    k16 = Graph.from_edges(16, combinations(range(16), 2))
+    want = exact_census(k16, 4).counts
+    monkeypatch.setattr(exact, "_SPLIT_FROM", 20_000)
+    monkeypatch.setattr(exact.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    calls = _count_classify_calls(monkeypatch)
+    assert exact_census(k16, 4).counts == want
+    frames = FrameSet(k16, FrameKind.CHAIN)
+    lower = frames.unrank(np.arange(CHUNK, dtype=np.int64))
+    assert calls == [(FrameKind.CHAIN, CHUNK - int(lower.degenerate.sum())),
+                     (FrameKind.TRIDENT, 7_280)]
+    _assert_no_child_left()
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(small_graphs())
+def test_split_censuses_match_brute_force(g):
+    with pytest.MonkeyPatch.context() as mp:
+        _force_split(mp, chunk=3)
+        for size in (3, 4):
+            assert exact_census(g, size).counts == \
+                brute_force_census(g, size)
+
+
+@pytest.mark.parametrize("where", ["helper", "parent"])
+def test_a_failing_walk_leaves_no_child(monkeypatch, where):
+    rng = np.random.default_rng(59)
+    g = random_graph(rng, 10, 0.5, False)
+    _force_split(monkeypatch, chunk=5)
+    parent = os.getpid()
+    real = exact.induced_subgraph_codes
+
+    def codes(graph, verts, *, kind, half_edges=None):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise KeyError("classifier fails")
+        return real(graph, verts, kind=kind, half_edges=half_edges)
+    monkeypatch.setattr(exact, "induced_subgraph_codes", codes)
+    # the helper's failure reaches the parent as its exit status
+    error = RuntimeError if where == "helper" else KeyError
+    with pytest.raises(error):
+        exact_census(g, 4)
+    _assert_no_child_left()
+
+
+def test_a_short_read_from_the_helper_raises(monkeypatch):
+    g = random_graph(np.random.default_rng(60), 10, 0.5, False)
+    _force_split(monkeypatch, chunk=5)
+    parent = os.getpid()
+    real = exact._walk
+
+    def walk(*args):
+        hits = real(*args)
+        return hits if os.getpid() == parent else hits[:-1]
+    monkeypatch.setattr(exact, "_walk", walk)
+    with pytest.raises(RuntimeError, match="bytes"):
+        exact_census(g, 3)
+    _assert_no_child_left()
+
+
+def test_a_helper_exit_status_raises(monkeypatch):
+    # the helper writes all of its hits, then exits 3
+    g = random_graph(np.random.default_rng(60), 10, 0.5, False)
+    _force_split(monkeypatch, chunk=5)
+    real_exit = os._exit
+    monkeypatch.setattr(exact.os, "_exit", lambda status: real_exit(3))
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        exact_census(g, 3)
+    _assert_no_child_left()
+
+
+def test_no_fork_below_the_threshold_on_one_cpu_or_with_threads(monkeypatch):
+    g = random_graph(np.random.default_rng(61), 12, 0.5, True)
+    want = exact_census(g, 4).counts
+
+    def fork():
+        raise AssertionError("forked")
+    monkeypatch.setattr(exact.os, "fork", fork)
+    monkeypatch.setattr(exact.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert frame_totals(g).n_chain < exact._SPLIT_FROM
+    assert exact_census(g, 4).counts == want
+    monkeypatch.setattr(exact, "_SPLIT_FROM", 1)
+    # a helper would inherit the locks another thread holds
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert exact_census(g, 4).counts == want
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    monkeypatch.setattr(exact.os, "sched_getaffinity", lambda pid: {3})
+    assert exact_census(g, 4).counts == want
+    # where the OS cannot say, one CPU is assumed
+    monkeypatch.delattr(exact.os, "sched_getaffinity")
+    assert exact_census(g, 4).counts == want
+
+
+def test_a_failed_fork_walks_every_rank_here(monkeypatch):
+    g = random_graph(np.random.default_rng(62), 12, 0.5, False)
+    want = exact_census(g, 4).counts
+    _force_split(monkeypatch, chunk=7)
+
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    monkeypatch.setattr(exact.os, "fork", fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert exact_census(g, 4).counts == want
+    assert len(os.listdir("/proc/self/fd")) == fds

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -439,6 +440,15 @@ def test_codes_refuse_non_integer_vertices(path3):
     with pytest.raises(ValueError, match="vertex ids must be integers"):
         induced_subgraph_codes(path3, [[0.9], [1.5], [2.2]])
     assert induced_subgraph_codes(path3, [[0], [1], [2]]).tolist() == [0b101]
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 1, 1)])
+def test_codes_refuse_vertices_that_are_not_2d(path3, shape):
+    # on the path 0-1-2-3, a 1-D or 3-D array is refused before any lookup
+    verts = np.arange(3).reshape(shape)
+    with pytest.raises(ValueError, match=r"shape \(k, batch\), got "
+                       + re.escape(str(shape))):
+        induced_subgraph_codes(path3, verts)
 
 
 def test_codes_take_a_kind_by_name(path3):
