@@ -107,8 +107,11 @@ def _build_arrcode(size: int, directed: bool) -> ArrcodeTable:
         for s in range(n_bits):
             relabeled |= ((codes >> s) & 1) << target[s]
         np.minimum(canon, relabeled, out=canon)
-    canonical = np.unique(canon)
-    entries = np.searchsorted(canonical, canon).astype(np.int16)
+    # codes are below 4096, so a bincount finds the canonical ones; a
+    # code's class id is how many of them lie below its own
+    seen = np.bincount(canon, minlength=codes.size) > 0
+    canonical = np.flatnonzero(seen)
+    entries = (np.cumsum(seen) - 1)[canon].astype(np.int16)
     entries.setflags(write=False)
     classes = tuple(
         MotifClass(cid, int(c), _is_connected(int(c), size, slots))

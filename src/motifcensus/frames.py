@@ -90,8 +90,11 @@ class FrameTotals:
 
 def frame_totals(g: Graph) -> FrameTotals:
     """Closed-form totals from the degree sequence and edge list, exact."""
-    k, count = np.unique(g.degrees, return_counts=True)
-    per_degree = list(zip(k.tolist(), count.tolist()))
+    k = np.sort(g.degrees)
+    # where each run of equal degrees starts, and how long it is
+    first = np.flatnonzero(np.diff(k, prepend=-1))
+    per_degree = list(zip(k[first].tolist(),
+                          np.diff(first, append=k.size).tolist()))
     fork = sum(math.comb(d, 2) * c for d, c in per_degree)
     trident = sum(math.comb(d, 3) * c for d, c in per_degree)
     chain = _exact_sum((g.degrees[g.edge_u] - 1) * (g.degrees[g.edge_v] - 1))
@@ -142,22 +145,6 @@ def _exact_sum(weights: np.ndarray) -> int:
             + int((weights & 0xFFFFFFFF).sum()))
 
 
-class _CumulativeWeights:
-    """Integer cumulative weights: unit t of the total belongs to the item
-    whose cumulative range holds it."""
-
-    def __init__(self, weights: np.ndarray):
-        self.total = _exact_sum(weights)
-        if self.total > _INT64_MAX:
-            raise ValueError(f"{self.total} frames exceed the 64-bit range")
-        self.cum = np.cumsum(weights)
-
-    def locate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Item holding each unit index, and the unit's offset inside it."""
-        i = np.searchsorted(self.cum, t, side="right")
-        return i, t - np.where(i > 0, self.cum[i - 1], 0)
-
-
 def _choose2(x: np.ndarray) -> np.ndarray:
     """C(x, 2), halving the even factor first so nothing wraps."""
     return (x >> 1) * ((x - 1) | 1)
@@ -197,10 +184,13 @@ class FrameSet:
 
     A fork or trident ranks as its center, weighted C(k, 2) or C(k, 3),
     then the colex rank of its leaf positions in the center's CSR row.
-    A chain ranks as its middle edge, weighted (k_u - 1)(k_v - 1), then
-    the row positions of its two ends, each skipping the other middle
-    vertex.  The exact census unranks every index once; sampling unranks
-    uniform random ones.
+    A chain ranks as its middle edge (u, v), weighted (k_u - 1)(k_v - 1),
+    then the row positions of its two ends, each skipping the other middle
+    vertex: v sits at Graph.edge_pos_in_u in u's row, and a position in
+    v's sorted row skips u when the entry there is u or above.  Rank t
+    belongs to the center or edge whose cumulative weight range holds it.
+    The exact census unranks every index once; sampling unranks uniform
+    random ones.
     """
 
     def __init__(self, g: Graph, kind: FrameKind):
@@ -216,28 +206,30 @@ class FrameSet:
                                  f"the 64-bit range")
             choose = _choose2 if self.kind is FrameKind.FORK else _choose3
             weights = choose(g.degrees)
-        self._pick = _CumulativeWeights(weights)
-
-    @property
-    def total(self) -> int:
-        return self._pick.total
+        self.total = _exact_sum(weights)
+        if self.total > _INT64_MAX:
+            raise ValueError(f"{self.total} frames exceed the 64-bit range")
+        self._cum = np.cumsum(weights)
 
     def unrank(self, t: np.ndarray) -> FrameBatch:
         """The frames of ranks t, one column each, with their half-edges on
         a directed graph."""
         g = self._g
-        i, r = self._pick.locate(t)
+        i = np.searchsorted(self._cum, t, side="right")
+        r = t - np.where(i > 0, self._cum[i - 1], 0)
         if self.kind is FrameKind.CHAIN:
             u = g.edge_u[i]
             v = g.edge_v[i]
             ia, ib = np.divmod(r, g.degrees[v] - 1)
             mid = g.edge_pos_in_u[i]
-            ia += ia >= mid                 # skip v in u's row
-            ib += ib >= g.edge_pos_in_v[i]  # skip u in v's row
+            ia += ia >= mid     # skip v in u's row
             # row positions become half-edges
             row = g.adj_offsets[u]
             ia += row
             ib += g.adj_offsets[v]
+            # skip u in v's row: it is sorted, so the entries from u's
+            # position on are u and above
+            ib += g.adj_flat[ib] >= u
             a = g.adj_flat[ia]
             b = g.adj_flat[ib]
             half = None

@@ -100,13 +100,13 @@ class Graph:
             half-edge; all 3 on an undirected graph.
         edge_u, edge_v: undirected edges with edge_u < edge_v,
             lexicographically sorted.
-        edge_pos_in_u, edge_pos_in_v: per edge, where edge_v sits in
-            edge_u's row and edge_u in edge_v's (chains skip it in O(1)).
+        edge_pos_in_u: per edge, where edge_v sits in edge_u's row.  No
+            array holds where edge_u sits in edge_v's: rows are sorted, so
+            a chain reads it off the row (see frames.FrameSet).
     """
 
     def __init__(self, *, directed, labels, degrees, adj_offsets, adj_flat,
-                 adj_bits, edge_u, edge_v, edge_pos_in_u, edge_pos_in_v,
-                 load_report):
+                 adj_bits, edge_u, edge_v, edge_pos_in_u, load_report):
         self.directed = directed
         self.labels = labels
         self.n_vertices = len(labels)
@@ -117,7 +117,6 @@ class Graph:
         self.edge_u = edge_u
         self.edge_v = edge_v
         self.edge_pos_in_u = edge_pos_in_u
-        self.edge_pos_in_v = edge_pos_in_v
         self.load_report = load_report
         self._samplers = {}
         self._pair_table = None
@@ -177,10 +176,6 @@ def _build(arr: np.ndarray, labels: tuple, directed: bool) -> Graph:
     forward = row < adj_flat
     edge_u, edge_v = row[forward], adj_flat[forward]
     edge_pos_in_u = np.flatnonzero(forward) - adj_offsets[edge_u]
-    # the half-edges (v, u), put in the order of their edges (u, v)
-    back = np.flatnonzero(~forward)
-    back = back[np.argsort(adj_flat[back] * n + row[back])]
-    edge_pos_in_v = back - adj_offsets[edge_v]
 
     # each arc sets bit 0 on its tail's half-edge
     n_arcs = int((adj_bits & 1).sum()) if directed else None
@@ -194,8 +189,7 @@ def _build(arr: np.ndarray, labels: tuple, directed: bool) -> Graph:
     return Graph(directed=directed, labels=labels, degrees=degrees,
                  adj_offsets=adj_offsets, adj_flat=adj_flat,
                  adj_bits=adj_bits, edge_u=edge_u, edge_v=edge_v,
-                 edge_pos_in_u=edge_pos_in_u, edge_pos_in_v=edge_pos_in_v,
-                 load_report=report)
+                 edge_pos_in_u=edge_pos_in_u, load_report=report)
 
 
 def _blocks(text: str, start: int = 0, block: int = 1 << 16) -> Iterator[str]:

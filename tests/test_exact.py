@@ -1,11 +1,15 @@
 import os
+import subprocess
+import sys
 import threading
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import motifcensus
 from motifcensus import (FrameKind, Graph, arrcode_table, exact,
                          exact_census, frame_totals, koef_table, loads_graph)
 from motifcensus.frames import CHUNK, FrameSet
@@ -104,13 +108,34 @@ def _walk(g, kind):
     return batch.vertices, batch.degenerate
 
 
+def _chain_skip_graphs():
+    """Graphs whose chain middle edges (u, v) all have u first in v's row,
+    then graphs where they all have it last; each one undirected, then
+    directed with an arc reversed and a reciprocal arc."""
+    # a tree numbered from its root down: the parent is each vertex's only
+    # smaller neighbor
+    first = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 7)]
+    # two joined stars with their leaves numbered below both hubs: every
+    # chain's middle edge is (6, 7)
+    last = [(0, 6), (1, 6), (2, 6), (3, 7), (4, 7), (5, 7), (6, 7)]
+    for at, pairs in (("first", first), ("last", last)):
+        pairs = [pairs[0][::-1], *pairs, pairs[-1][::-1]]
+        for directed in (False, True):
+            g = Graph.from_edges(8, pairs, directed)
+            for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+                row = g.adj_flat[g.adj_offsets[v]:g.adj_offsets[v + 1]]
+                if g.degrees[u] > 1 and row.size > 1:
+                    assert row[0 if at == "first" else -1] == u
+            yield g
+
+
 def test_frame_walk_matches_the_loop_oracle():
     # each frame once, the same instances as the plain-loop enumeration
     rng = np.random.default_rng(56)
-    for trial in range(20):
-        n = int(rng.integers(4, 13))
-        p = float(rng.uniform(0.15, 0.8))
-        g = random_graph(rng, n, p, bool(trial % 2))
+    graphs = [random_graph(rng, int(rng.integers(4, 13)),
+                           float(rng.uniform(0.15, 0.8)), bool(trial % 2))
+              for trial in range(20)]
+    for g in [*graphs, *_chain_skip_graphs()]:
         totals = frame_totals(g)
         for kind in ALL_KINDS:
             verts, degenerate = _walk(g, kind)
@@ -392,3 +417,32 @@ def test_a_failed_fork_walks_every_rank_here(monkeypatch):
     fds = len(os.listdir("/proc/self/fd"))
     assert exact_census(g, 4).counts == want
     assert len(os.listdir("/proc/self/fd")) == fds
+
+
+# every table, the totals and an exact census, in a fresh process
+_NO_MASKED_ARRAYS = """
+import sys
+from motifcensus import (Graph, arrcode_table, exact_census, frame_totals,
+                         koef_table)
+for size in (3, 4):
+    for directed in (False, True):
+        arrcode_table(size, directed)
+        koef_table(size, directed)
+        g = Graph.from_edges(5, [(0, 1), (2, 1), (2, 3), (3, 4), (0, 2)],
+                             directed)
+        frame_totals(g)
+        exact_census(g, size)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_census_does_not_import_masked_arrays():
+    # np.unique imports numpy.ma, about 10 ms of a process's first table
+    src = str(Path(motifcensus.__file__).parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    out = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]

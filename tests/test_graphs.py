@@ -107,7 +107,6 @@ def test_edge_positions_point_back():
     for e in range(g.n_edges):
         u, v = int(g.edge_u[e]), int(g.edge_v[e])
         assert int(_row(g, u)[g.edge_pos_in_u[e]]) == v
-        assert int(_row(g, v)[g.edge_pos_in_v[e]]) == u
 
 
 def _label_pairs(g):
@@ -210,7 +209,6 @@ def test_loader_matches_the_reference_parser(text):
         assert g.degrees.tolist() == [len(s) for s in neighbors]
         for e, (u, v) in enumerate(edges):
             assert _row(g, u)[g.edge_pos_in_u[e]] == v
-            assert _row(g, v)[g.edge_pos_in_v[e]] == u
         assert g.load_report.to_dict() == {
             "n_vertices": n, "n_edges": len(edges),
             "n_arcs": len(pairs) if directed else None,
@@ -235,7 +233,7 @@ def _assert_same_graph(g, h):
     assert g.labels == h.labels
     assert g.load_report == h.load_report
     for name in ("degrees", "adj_offsets", "adj_flat", "adj_bits", "edge_u",
-                 "edge_v", "edge_pos_in_u", "edge_pos_in_v"):
+                 "edge_v", "edge_pos_in_u"):
         assert np.array_equal(getattr(g, name), getattr(h, name)), name
 
 
