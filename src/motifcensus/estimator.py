@@ -281,11 +281,11 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
         remaining = dict.fromkeys(active, budget)
     left = sum(remaining.values()) if budget is None else budget
 
-    # one stream per kind, made at its first draw: spawn key (0, i) is
-    # child i of child 0 of SeedSequence(seed), as spawn() would make it.
-    # Kind slots are fixed by size so streams do not shift when a kind is
-    # inactive
-    rngs = {}
+    # one stream per kind: spawn key (0, i) is child i of child 0 of
+    # SeedSequence(seed), as spawn() would make it.  Kind slots are fixed
+    # by size so streams do not shift when a kind is inactive
+    rngs = {k: np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=(0, kinds.index(k)))) for k in active}
     stop_reason = "budget"
     share = 0.5
     while left:
@@ -296,9 +296,6 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
         for kind, m in draws.items():
             if not m:
                 continue
-            if kind not in rngs:
-                rngs[kind] = np.random.default_rng(np.random.SeedSequence(
-                    seed, spawn_key=(0, kinds.index(kind))))
             remaining[kind] -= m
             left -= m
             n[kind] += m

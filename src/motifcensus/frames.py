@@ -53,7 +53,9 @@ class FrameKind(str, Enum):
     def tree_pairs(self) -> tuple[tuple[int, int], ...]:
         """Rows (r, c) of a FrameBatch column that every frame joins, in the
         order of FrameBatch.half_edges: the frame picks each as a half-edge
-        in row r's CSR row."""
+        in row r's CSR row.  On a directed graph the classifier reads each
+        tree pair's two arcs from that half-edge, so a directed frame must
+        bring its half-edges."""
         if self is FrameKind.FORK:
             return ((1, 0), (1, 2))
         if self is FrameKind.TRIDENT:

@@ -22,8 +22,8 @@ carries 2 direction bits, arc u -> v and arc v -> u (both set on an
 undirected graph), so one lookup per vertex pair answers both ordered
 pairs of a directed graph.  A frame's tree pairs are edges by
 construction, so only its closing pairs are looked up: on an undirected
-graph the tree pairs' bits are known, and on a directed graph they are
-gathered from adj_bits through the half-edges the frame was built from.
+graph the tree pairs' bits are known, and a directed frame must bring the
+half-edges it was built from, whose adj_bits hold its tree pairs' arcs.
 Home slots come from the splitmix64 finalizer, which scatters the
 regular keys u * n + v: a lookup may read as far past a home slot as the
 table's largest displacement, and with multiply-shift hashing that was 33
@@ -471,36 +471,24 @@ def _integers(values, what: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _lookup_plan(size: int, directed: bool, kind, half_edges: bool) -> tuple:
-    """Rows i < j to look up, each with the slots of (i, j) and (j, i); and
-    known, a read-only array of the codes of the pairs that need no lookup.
+def _lookup_plan(size: int, directed: bool, kind) -> tuple:
+    """How a code is built: arcs, base and lookups.
 
-    Given kind, the tree pairs are edges by construction.  On an undirected
-    graph that settles them, and known holds their one code.  On a directed
-    graph it settles them only with half_edges: known is then indexed by
-    their direction bits, those of tree pair t at bits 2t and 2t + 1.
-    Without kind, or on a directed graph without half_edges, every pair is
-    looked up and known holds the code 0.
+    Given kind, the tree pairs are edges by construction.  On a directed
+    graph arcs holds the slots of (r, c) and (c, r) for each tree pair, in
+    kind.tree_pairs order, to be read from the frames' half-edges; on an
+    undirected graph base is the tree pairs' code.  lookups holds the rows
+    i < j of every other pair, each with the slots of (i, j) and (j, i).
     """
     slot = {pair: s for s, pair in enumerate(pair_slots(size, directed))}
-    tree = ()
-    if kind is not None and (half_edges or not directed):
-        tree = kind.tree_pairs
-    if directed and tree:
-        index = np.arange(4 ** len(tree))
-        known = np.zeros(index.size, dtype=np.int64)
-        for t, (r, c) in enumerate(tree):
-            bits = index >> 2 * t
-            known |= (bits & 1) << slot[r, c] | (bits >> 1 & 1) << slot[c, r]
-    else:
-        known = np.array([sum(1 << slot[min(p), max(p)] for p in tree)],
-                         dtype=np.int64)
-    known.setflags(write=False)
+    tree = () if kind is None else kind.tree_pairs
+    arcs = tuple((slot[r, c], slot[c, r]) for r, c in tree) if directed else ()
+    base = 0 if directed else sum(1 << slot[min(p), max(p)] for p in tree)
     settled = {(min(p), max(p)) for p in tree}
     lookups = tuple((i, j, slot[i, j], slot.get((j, i)))
                     for i, j in pair_slots(size, False)
                     if (i, j) not in settled)
-    return lookups, known
+    return arcs, base, lookups
 
 
 def induced_subgraph_codes(g: Graph, vertices: np.ndarray, *,
@@ -516,14 +504,12 @@ def induced_subgraph_codes(g: Graph, vertices: np.ndarray, *,
 
     With kind, a FrameKind or its name, every column is an open frame of
     that kind in the FrameBatch layout, and is trusted to be one: its tree
-    pairs are edges by construction, so on an undirected graph only its
-    closing pairs are looked up.  A directed graph needs the tree pairs'
-    arcs too; given half_edges, the frames' FrameBatch.half_edges, it reads
-    them with one gather from adj_bits and looks up only the closing
-    pairs.  The half-edges are trusted as well: the one of tree pair (r, c)
-    must lie in vertex r's row and hold c.  Only their shape and range are
-    checked.  Without half_edges, a directed graph looks up every pair,
-    once, for the arcs both ways.
+    pairs are edges by construction, so only its closing pairs are looked
+    up.  On a directed graph the frames must bring their half_edges, the
+    FrameBatch.half_edges, and each tree pair's two arcs are read from
+    adj_bits there.  The half-edges are trusted as well: the one of tree
+    pair (r, c) must lie in vertex r's row and hold c.  Only their shape
+    and range are checked.
     """
     verts = _integers(vertices, "vertex ids")
     if verts.ndim != 2:
@@ -547,6 +533,8 @@ def induced_subgraph_codes(g: Graph, vertices: np.ndarray, *,
         if half.size and half.view(np.uint64).max() >= g.adj_flat.size:
             raise ValueError(f"half-edges must be in 0 .. "
                              f"{g.adj_flat.size - 1}")
+    elif kind is not None and g.directed:
+        raise ValueError("directed frames need their half_edges")
     # a negative id wraps past every valid one, so one max checks both ends
     if verts.size and verts.view(np.uint64).max() >= g.n_vertices:
         raise ValueError(f"vertex ids must be in 0 .. {g.n_vertices - 1}")
@@ -555,15 +543,14 @@ def induced_subgraph_codes(g: Graph, vertices: np.ndarray, *,
             if (verts[i] == verts[j]).any():
                 raise ValueError(f"a column repeats a vertex in rows {i} "
                                  f"and {j}")
-    lookups, known = _lookup_plan(k, g.directed, kind, half_edges is not None)
-    if known.size > 1:
-        bits = g.adj_bits[half]
-        index = bits[0]
-        for t in range(1, len(bits)):
-            index |= bits[t] << 2 * t
-        codes = known[index]
-    else:
-        codes = np.full(verts.shape[1], known[0])
+    arcs, base, lookups = _lookup_plan(k, g.directed, kind)
+    codes = np.full(verts.shape[1], base, dtype=np.int64)
+    for t, (forward, backward) in enumerate(arcs):
+        # int8 bits would overflow at the higher slots
+        bits = g.adj_bits[half[t]].astype(np.int64)
+        codes |= (bits & 1) << forward
+        bits >>= 1
+        codes |= bits << backward
     table = _pair_table(g)
     # one pair at a time: one lookup of all pairs stacked ran 10-20 %
     # faster, but its arrays raised peak memory by more than the table

@@ -600,13 +600,13 @@ def test_variance_estimate_tracks_spread(k4):
     assert np.mean(predicted) == pytest.approx(empirical, rel=0.5)
 
 
-def test_streams_are_built_only_where_they_draw(monkeypatch):
+def test_each_active_kind_makes_one_stream(monkeypatch):
     g = random_graph(np.random.default_rng(60), 20, 0.3, directed=False)
     made = []
     real = np.random.default_rng
 
     def counting(seed=None):
-        made.append(seed)
+        made.append(seed.spawn_key)
         return real(seed)
     monkeypatch.setattr(np.random, "default_rng", counting)
     report = run_sampled_census(g, 4, budget=50_000, seed=3)
@@ -614,13 +614,21 @@ def test_streams_are_built_only_where_they_draw(monkeypatch):
     # stream from round to round
     assert report.experiments["chain"]["n_experiments"] == 25_000
     assert report.experiments["trident"]["n_experiments"] == 25_000
-    assert len(made) == 2
-    # a kind with no share of the budget gets no stream: of a budget of 1,
-    # the chains' half rounds to 0
+    assert made == [(0, 0), (0, 1)]
+    # streams are made before round 1, so a kind with no share of the
+    # budget gets one too: of a budget of 1, the chains' half rounds to 0
     made.clear()
     report = run_sampled_census(g, 4, budget=1, seed=3)
     assert report.experiments["chain"]["n_experiments"] == 0
-    assert len(made) == 1
+    assert made == [(0, 0), (0, 1)]
+    # a kind the graph has no frames of gets none, and the other keeps
+    # its slot: the path 0-1-2-3 holds one chain and no trident, and the
+    # star around 0 tridents and no chain
+    for pairs, key in (([(0, 1), (1, 2), (2, 3)], (0, 0)),
+                       ([(0, 1), (0, 2), (0, 3)], (0, 1))):
+        made.clear()
+        run_sampled_census(Graph.from_edges(4, pairs), 4, budget=10, seed=3)
+        assert made == [key]
 
 
 @pytest.mark.parametrize("size,directed", [(3, True), (4, False)])
@@ -680,6 +688,32 @@ def test_seeded_streams_are_unchanged():
     assert {m["class_id"]: (m["detections"]["chain"],
                             m["detections"]["trident"])
             for m in report.motifs} == detections
+
+
+# the same for a seeded directed run, per size: (chain degenerate,
+# {class_id: detections per kind}) of the classes detected at all.  The
+# graph has 10 edges, 4 of them reciprocal, so the classifier reads both
+# arcs of its tree pairs from the frames' half-edges
+SEEDED_DIRECTED_RUN = {
+    3: (None, {2: (65,), 4: (42,), 5: (132,), 6: (45,), 8: (138,),
+               10: (181,), 12: (125,), 14: (273,)}),
+    4: (104, {12: (10, 0), 13: (9, 0), 18: (21, 36), 38: (24, 22),
+              41: (13, 0), 46: (26, 0), 50: (42, 80), 94: (0, 25),
+              101: (20, 38), 108: (44, 79), 118: (58, 71), 147: (64, 67),
+              161: (65, 83)}),
+}
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_seeded_directed_streams_are_unchanged(size):
+    g = random_graph(np.random.default_rng(68), 7, 0.3, directed=True)
+    assert (g.n_edges, g.load_report.n_arcs) == (10, 14)
+    report = run_sampled_census(g, size, budget=1_001, seed=19)
+    degenerate, detections = SEEDED_DIRECTED_RUN[size]
+    assert report.experiments.get("chain", {}).get("degenerate") == degenerate
+    assert {m["class_id"]: tuple(m["detections"].values())
+            for m in report.motifs if any(m["detections"].values())} == \
+        detections
 
 
 # (experiments, chain degenerate, {class_id: (chain, trident) detections})

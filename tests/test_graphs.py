@@ -370,12 +370,8 @@ def test_frame_codes_match_the_oracle(g):
         assert (half is not None) == g.directed
         every_pair = induced_subgraph_codes(g, verts).tolist()
         assert every_pair == [induced_code(g, col) for col in verts.T]
-        codes = induced_subgraph_codes(g, verts, kind=kind)
+        codes = induced_subgraph_codes(g, verts, kind=kind, half_edges=half)
         assert codes.tolist() == every_pair
-        if g.directed:
-            codes = induced_subgraph_codes(g, verts, kind=kind,
-                                           half_edges=half)
-            assert codes.tolist() == every_pair
         if verts.shape[1]:
             one = None if half is None else half[:, :1]
             assert induced_subgraph_codes(
@@ -383,13 +379,14 @@ def test_frame_codes_match_the_oracle(g):
                 half_edges=one).tolist() == codes[:1].tolist()
 
 
-@pytest.mark.parametrize("kind,with_half,without_half",
+@pytest.mark.parametrize("kind,closing,every",
                          [(FrameKind.FORK, 1, 3), (FrameKind.CHAIN, 3, 6),
                           (FrameKind.TRIDENT, 3, 6)])
 def test_directed_frames_look_up_only_their_closing_pairs(
-        monkeypatch, kind, with_half, without_half):
-    # keys sent to the pair table per frame: the closing pairs only when
-    # the tree pairs' arcs come from the half-edges, every pair without
+        monkeypatch, kind, closing, every):
+    # keys sent to the pair table per frame: the closing pairs only, since
+    # the tree pairs' arcs come from the half-edges, and every pair on the
+    # generic path; a directed frame without its half-edges is refused
     g = random_graph(np.random.default_rng(23), 16, 0.4, directed=True)
     sent = []
     real = _PairTable.lookup
@@ -404,10 +401,13 @@ def test_directed_frames_look_up_only_their_closing_pairs(
     frames_in = verts.shape[1]
     assert frames_in > 0
     induced_subgraph_codes(g, verts, kind=kind, half_edges=half)
-    assert sum(sent) == with_half * frames_in
+    assert sum(sent) == closing * frames_in
     sent.clear()
-    induced_subgraph_codes(g, verts, kind=kind)
-    assert sum(sent) == without_half * frames_in
+    induced_subgraph_codes(g, verts)
+    assert sum(sent) == every * frames_in
+    with pytest.raises(ValueError,
+                       match="directed frames need their half_edges"):
+        induced_subgraph_codes(g, verts, kind=kind)
 
 
 @pytest.mark.parametrize("directed", [False, True])
