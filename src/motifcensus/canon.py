@@ -11,7 +11,7 @@ of the underlying undirected view.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,26 +26,22 @@ class MotifClass:
     connected: bool
 
     def to_dict(self) -> dict:
-        return {
-            "class_id": self.class_id,
-            "canonical_code": self.canonical_code,
-            "connected": self.connected,
-        }
+        return asdict(self)
 
 
+@dataclass(frozen=True, eq=False)
 class ArrcodeTable:
     """Constant-time classifier for one (size, directed) family.
 
     entries[code] holds the class id of every raw code; classes holds one
-    MotifClass per id, sorted by ascending canonical code.
+    MotifClass per id, sorted by ascending canonical code.  Tables compare
+    by identity, since entries is an array.
     """
 
-    def __init__(self, size: int, directed: bool, entries: np.ndarray,
-                 classes: tuple[MotifClass, ...]):
-        self.size = size
-        self.directed = directed
-        self.entries = entries
-        self.classes = classes
+    size: int
+    directed: bool
+    entries: np.ndarray
+    classes: tuple[MotifClass, ...]
 
     @property
     def n_classes(self) -> int:

@@ -2,9 +2,14 @@
 
 Four subcommands: exact (census over every frame), sample (frame-sampling
 census), frames (exact frame totals), tables (dump the class and
-containment tables).  Reports go to stdout or --output as JSON or CSV;
-both formats carry the same numbers, and every report echoes the full run
-configuration.
+containment tables).  Reports go to stdout or --output as JSON or CSV,
+and every report echoes the full run configuration.  JSON carries the
+whole report.  CSV carries the configuration and the command's scalars
+(stop reason, experiments and frame totals per kind) as "# key=value"
+lines, then one row per class, or per kind for frames.  It leaves out the
+load report (graph), the sampled census's vertex and edge counts and the
+totals of kinds it does not draw, each class's sources, the exact total
+and elapsed.  tables writes JSON only.
 """
 
 from __future__ import annotations
@@ -96,33 +101,32 @@ def _config_dict(args: argparse.Namespace) -> dict:
     }
 
 
-def _write_text(text: str, path: str | None) -> None:
-    text += "" if text.endswith("\n") else "\n"
-    if path is None:
+def _emit(args: argparse.Namespace, payload: dict, header=(), rows=(),
+          comments=None) -> int:
+    """Write one report to stdout or --output.  JSON holds the config and
+    the payload; CSV holds the flattened config and the comments as sorted
+    "# key=value" lines, then the header and rows."""
+    config = _config_dict(args)
+    if getattr(args, "format", "json") == "json":
+        text = json.dumps({"config": config, **payload}, sort_keys=True,
+                          indent=2) + "\n"
+    else:
+        lines = {k: ("" if v is None else v) for k, v in config.items()}
+        lines.update(comments or {})
+        buf = io.StringIO()
+        for key in sorted(lines):
+            buf.write(f"# {key}={lines[key]}\n")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(["" if v is None else v for v in row]
+                         for row in rows)
+        text = buf.getvalue()
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(args.output, "w") as fh:
             fh.write(text)
-
-
-def _emit_json(payload: dict, path: str | None) -> None:
-    _write_text(json.dumps(payload, sort_keys=True, indent=2), path)
-
-
-def _emit_csv(comments: dict, header: list, rows: list,
-              path: str | None) -> None:
-    buf = io.StringIO()
-    for key in sorted(comments):
-        buf.write(f"# {key}={comments[key]}\n")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
-    _write_text(buf.getvalue(), path)
-
-
-def _flat_config(config: dict) -> dict:
-    return {k: ("" if v is None else v) for k, v in config.items()}
+    return 0
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
@@ -135,32 +139,23 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         f"{n} {kind} frames" for kind, n in walked.items()), file=sys.stderr)
     census = exact_census(g, args.size)
     table = arrcode_table(args.size, g.directed)
-    config = _config_dict(args)
+    header = ["class_id", "canonical_code", "count"]
     motifs = [{"class_id": cls.class_id,
                "canonical_code": cls.canonical_code,
                "count": census.counts[cls.class_id]}
               for cls in table.classes if cls.connected]
-    if args.format == "json":
-        payload = {
-            "config": config,
-            "graph": g.load_report.to_dict(),
-            "size": args.size,
-            "directed": g.directed,
-            "total": census.total(),
-            "frame_totals": walked,
-            "motifs": motifs,
-            "elapsed": census.elapsed,
-        }
-        _emit_json(payload, args.output)
-    else:
-        rows = [[m["class_id"], m["canonical_code"], m["count"]]
-                for m in motifs]
-        comments = _flat_config(config)
-        for kind, n in walked.items():
-            comments[f"frame_total_{kind}"] = n
-        _emit_csv(comments, ["class_id", "canonical_code", "count"], rows,
-                  args.output)
-    return 0
+    payload = {
+        "graph": g.load_report.to_dict(),
+        "size": args.size,
+        "directed": g.directed,
+        "total": census.total(),
+        "frame_totals": walked,
+        "motifs": motifs,
+        "elapsed": census.elapsed,
+    }
+    return _emit(args, payload, header,
+                 [[m[key] for key in header] for m in motifs],
+                 {f"frame_total_{kind}": n for kind, n in walked.items()})
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -168,61 +163,36 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     report = run_sampled_census(
         g, args.size, budget=args.samples, target_cv=args.target_cv,
         seed=args.seed)
-    config = _config_dict(args)
-    if args.format == "json":
-        payload = {"config": config, "graph": g.load_report.to_dict()}
-        payload.update(report.to_dict())
-        _emit_json(payload, args.output)
-    else:
-        kinds = [k.value for k in kinds_for_size(args.size)]
-        header = ["class_id", "canonical_code", "n_hat", "variance", "cv",
-                  "lambda"]
-        header += [f"detections_{k}" for k in kinds]
-        header += [f"koef_{k}" for k in kinds]
-        rows = []
-        for m in report.motifs:
-            row = [m["class_id"], m["canonical_code"], m["n_hat"],
-                   m["variance"], m["cv"], m["lambda"]]
-            row += [m["detections"][k] for k in kinds]
-            row += [m["koef"][k] for k in kinds]
-            rows.append(row)
-        comments = _flat_config(config)
-        comments["stop_reason"] = report.stop_reason
-        for kind, entry in report.experiments.items():
-            comments[f"n_experiments_{kind}"] = entry["n_experiments"]
-            comments[f"frame_total_{kind}"] = entry["frame_total"]
-            if "degenerate" in entry:
-                comments[f"degenerate_{kind}"] = entry["degenerate"]
-        _emit_csv(comments, header, rows, args.output)
-    return 0
+    kinds = [k.value for k in kinds_for_size(args.size)]
+    columns = ["class_id", "canonical_code", "n_hat", "variance", "cv",
+               "lambda"]
+    rows = [[m[key] for key in columns]
+            + [m["detections"][k] for k in kinds]
+            + [m["koef"][k] for k in kinds] for m in report.motifs]
+    header = (columns + [f"detections_{k}" for k in kinds]
+              + [f"koef_{k}" for k in kinds])
+    comments = {f"{name}_{kind}": value
+                for kind, entry in report.experiments.items()
+                for name, value in entry.items()}
+    comments["stop_reason"] = report.stop_reason
+    return _emit(args, {"graph": g.load_report.to_dict(), **report.to_dict()},
+                 header, rows, comments)
 
 
 def _cmd_frames(args: argparse.Namespace) -> int:
     g = load_graph(args.input, directed=args.directed)
-    totals = frame_totals(g)
-    config = _config_dict(args)
-    if args.format == "json":
-        payload = {
-            "config": config,
-            "graph": g.load_report.to_dict(),
-            "frame_totals": totals.to_dict(),
-        }
-        _emit_json(payload, args.output)
-    else:
-        rows = [[kind, count] for kind, count in totals.to_dict().items()]
-        _emit_csv(_flat_config(config), ["kind", "count"], rows, args.output)
-    return 0
+    totals = frame_totals(g).to_dict()
+    return _emit(args, {"graph": g.load_report.to_dict(),
+                        "frame_totals": totals},
+                 ["kind", "count"], list(totals.items()))
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     families = [(3, False), (3, True), (4, False), (4, True)]
-    payload = {
-        "config": _config_dict(args),
+    return _emit(args, {
         "arrcode_tables": [arrcode_table(s, d).to_dict() for s, d in families],
         "koef_tables": [koef_table(s, d).to_dict() for s, d in families],
-    }
-    _emit_json(payload, args.output)
-    return 0
+    })
 
 
 def main(argv=None) -> int:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,20 +94,10 @@ class CensusReport:
     elapsed: float
 
     def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "directed": self.directed,
-            "seed": self.seed,
-            "budget": self.budget,
-            "target_cv": self.target_cv,
-            "n_vertices": self.n_vertices,
-            "n_edges": self.n_edges,
-            "frame_totals": self.frame_totals.to_dict(),
-            "experiments": self.experiments,
-            "motifs": self.motifs,
-            "stop_reason": self.stop_reason,
-            "elapsed": self.elapsed,
-        }
+        # shallow, unlike dataclasses.asdict: the motif rows are not copied
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["frame_totals"] = self.frame_totals.to_dict()
+        return out
 
 
 def _build_estimates(koefs: KoefTable, totals: FrameTotals, n: dict,

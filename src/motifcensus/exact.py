@@ -15,10 +15,10 @@ tridents must agree on every class both of them see.
 On Linux, where os.sched_getaffinity exists, a process that may run on
 two CPUs or more and runs no other Python thread walks a kind with at
 least _SPLIT_FROM frames in two processes: a helper forked for that kind
-walks the upper half of the ranks and pipes its hits back, and this
-process walks the lower half.  Hits are bincount sums, so the counts do
-not depend on the split.  No helper outlives the call.  `taskset -c 0`
-keeps a run on one CPU, and so in one process.
+walks the upper half of the ranks and writes its hits to a shared map,
+and this process walks the lower half.  Hits are bincount sums, so the
+counts do not depend on the split.  No helper outlives the call.
+`taskset -c 0` keeps a run on one CPU, and so in one process.
 """
 
 from __future__ import annotations
@@ -112,47 +112,43 @@ def _walk_split(g: Graph, frames: FrameSet, kind, table) -> np.ndarray:
     """_walk over every rank, the upper half in a forked helper.
 
     The helper walks from the chunk boundary nearest total / 2, writes its
-    int64 hits to a pipe and exits: status 0 on success, 1 on any
-    exception.  This process walks the rest, reads the pipe to EOF and
+    int64 hits into an anonymous shared map and exits: status 0 once they
+    are written, 1 on any exception.  This process walks the rest and
     reaps the helper; on any exception here, it kills and reaps it first.
     When no process can be forked, this one walks every rank.
     """
+    # imported here: mmap's shared library adds about 0.04 MB to every
+    # process that imports the package, and only split walks need it
+    import mmap
     total = frames.total
     mid = (total + CHUNK) // (2 * CHUNK) * CHUNK
-    read, write = os.pipe()
+    shared = np.frombuffer(mmap.mmap(-1, 8 * table.n_classes), dtype=np.int64)
     try:
         pid = os.fork()
     except OSError:
         # no process to spare: one process gives the same counts
-        os.close(read)
-        os.close(write)
         return _walk(g, frames, kind, table, 0, total)
     if pid == 0:
         status = 1
         try:
-            os.close(read)
-            with open(write, "wb") as out:
-                out.write(_walk(g, frames, kind, table, mid, total).tobytes())
+            shared[:] = _walk(g, frames, kind, table, mid, total)
             status = 0
         except Exception:
             import traceback
             traceback.print_exc()
         finally:
             os._exit(status)
-    os.close(write)
     reaped = False
     try:
-        with open(read, "rb") as src:
-            hits = _walk(g, frames, kind, table, 0, mid)
-            data = src.read()
+        hits = _walk(g, frames, kind, table, 0, mid)
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         reaped = True
     finally:
         if not reaped:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if code or len(data) != hits.nbytes:
+    if code:
         raise RuntimeError(
             f"the helper walking {kind.value} ranks {mid} .. {total - 1} "
-            f"failed (exit code {code}, {len(data)} of {hits.nbytes} bytes)")
-    return hits + np.frombuffer(data, dtype=np.int64)
+            f"failed (exit code {code})")
+    return hits + shared

@@ -33,7 +33,7 @@ slots against splitmix64's 7 on a G(n=3000, m=15000) graph.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
@@ -66,13 +66,7 @@ class LoadReport:
     duplicates_dropped: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_vertices": self.n_vertices,
-            "n_edges": self.n_edges,
-            "n_arcs": self.n_arcs,
-            "self_loops_dropped": self.self_loops_dropped,
-            "duplicates_dropped": self.duplicates_dropped,
-        }
+        return asdict(self)
 
 
 @lru_cache(maxsize=None)

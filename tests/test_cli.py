@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
@@ -11,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motifcensus import cli
+from motifcensus import cli, run_sampled_census
 from motifcensus.cli import DEFAULT_SEED, build_parser, main
-from conftest import data_path
+from conftest import DATA, data_path
 from oracles import dumps_graph, random_graph
 
 
@@ -332,3 +334,68 @@ def test_any_edge_list_succeeds_or_fails_cleanly(data, directed, command):
         argv = [*command, "-i", str(path)] + ["--directed"] * directed
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1)
+
+
+# -- golden outputs --------------------------------------------------------
+
+GOLDEN = DATA / "golden"
+
+# every subcommand in both formats on the files in tests/data, run from
+# that directory so that config.input is a bare file name
+GOLDEN_CASES = {
+    "exact_k4_3": ["exact", "-i", "k4.txt", "--size", "3"],
+    "exact_k4_4": ["exact", "-i", "k4.txt", "--size", "4"],
+    "exact_path3_4": ["exact", "-i", "path3.txt", "--size", "4"],
+    "exact_ffl_3": ["exact", "-i", "ffl.txt", "--directed", "--size", "3"],
+    "exact_ffl_4": ["exact", "-i", "ffl.txt", "--directed", "--size", "4"],
+    "sample_k4_4_budget": ["sample", "-i", "k4.txt", "--size", "4",
+                           "--samples", "2000", "--seed", "42"],
+    "sample_path3_4_odd": ["sample", "-i", "path3.txt", "--size", "4",
+                           "--samples", "1001", "--seed", "7"],
+    "sample_path3_3_target": ["sample", "-i", "path3.txt", "--size", "3",
+                              "--target-cv", "0.2"],
+    "sample_k4_4_target": ["sample", "-i", "k4.txt", "--size", "4",
+                           "--samples", "5000", "--target-cv", "0.05",
+                           "--seed", "3"],
+    "sample_ffl_3_budget": ["sample", "-i", "ffl.txt", "--directed",
+                            "--size", "3", "--samples", "301"],
+    "frames_k4": ["frames", "-i", "k4.txt"],
+    "frames_path3": ["frames", "-i", "path3.txt"],
+    "frames_ffl": ["frames", "-i", "ffl.txt", "--directed"],
+}
+
+
+def _golden_run(capsys, argv):
+    """Exit code, stdout with the JSON "elapsed" line removed, stderr."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    out = re.sub(r'^  "elapsed": .*\n', "", captured.out, flags=re.M)
+    return code, out, captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_output_matches_golden(capsys, monkeypatch, name, fmt):
+    monkeypatch.chdir(DATA)
+    code, out, err = _golden_run(capsys, GOLDEN_CASES[name]
+                                 + ["--format", fmt])
+    assert code == 0
+    # bytes, since the CSV rows end in "\r\n"
+    assert out.encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+    err_path = GOLDEN / f"{name}.err"
+    assert err == (err_path.read_text() if err_path.exists() else "")
+
+
+def test_tables_match_golden(capsys):
+    code, out, err = _golden_run(capsys, ["tables"])
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == (GOLDEN / "tables.sha256").read_text().split()[0]
+
+
+def test_report_dict_shares_its_motif_rows(k4):
+    # to_dict copies no row: a report of 199 classes serializes in µs
+    report = run_sampled_census(k4, 4, budget=100, seed=1)
+    payload = report.to_dict()
+    assert payload["motifs"] is report.motifs
+    assert payload["experiments"] is report.experiments

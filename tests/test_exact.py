@@ -351,7 +351,9 @@ def test_a_failing_walk_leaves_no_child(monkeypatch, where):
     _assert_no_child_left()
 
 
-def test_a_short_read_from_the_helper_raises(monkeypatch):
+def test_helper_hits_that_do_not_fit_raise(monkeypatch):
+    # the helper's short hits do not fit the shared map: ValueError there,
+    # exit status 1, RuntimeError here
     g = random_graph(np.random.default_rng(60), 10, 0.5, False)
     _force_split(monkeypatch, chunk=5)
     parent = os.getpid()
@@ -361,7 +363,7 @@ def test_a_short_read_from_the_helper_raises(monkeypatch):
         hits = real(*args)
         return hits if os.getpid() == parent else hits[:-1]
     monkeypatch.setattr(exact, "_walk", walk)
-    with pytest.raises(RuntimeError, match="bytes"):
+    with pytest.raises(RuntimeError, match="exit code 1"):
         exact_census(g, 3)
     _assert_no_child_left()
 
