@@ -5,9 +5,10 @@ from .canon import ArrcodeTable, MotifClass, arrcode_table
 from .estimator import CensusReport, optimal_lambda, run_sampled_census
 from .exact import ExactCensus, exact_census
 from .frames import (FrameBatch, FrameKind, FrameTotals, KoefTable,
-                     frame_sampler, frame_totals, kinds_for_size, koef_table)
-from .graphs import (EdgeListError, Graph, LoadReport, induced_subgraph_codes,
-                     load_graph, loads_graph, pair_slots)
+                     frame_sampler, frame_totals, induced_subgraph_codes,
+                     kinds_for_size, koef_table)
+from .graphs import (EdgeListError, Graph, LoadReport, load_graph, loads_graph,
+                     pair_slots)
 
 __version__ = "0.1.0"
 

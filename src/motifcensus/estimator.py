@@ -34,6 +34,7 @@ detections, is mostly noise.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass, fields
@@ -42,8 +43,9 @@ import numpy as np
 
 from .canon import arrcode_table
 from .frames import (_INT64_MAX, CHUNK, FrameKind, FrameTotals, KoefTable,
-                     frame_sampler, frame_totals, kinds_for_size, koef_table)
-from .graphs import Graph, _pair_table, induced_subgraph_codes
+                     frame_sampler, frame_totals, induced_subgraph_codes,
+                     kinds_for_size, koef_table)
+from .graphs import Graph, _pair_table
 
 # classes detected fewer times than this are not held to the CV target
 MIN_DETECTIONS_FOR_CV = 5
@@ -216,10 +218,10 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
             caps the two kinds' total.  May be omitted when target_cv is
             given.
         target_cv: stop after the first round in which every class
-            detected at least 5 times has cv at or below this value, which
-            must be positive and finite.  Without a budget, each kind draws
-            at most its frame total; a target still unmet there raises
-            ValueError.
+            detected at least 5 times has cv at or below this value, a
+            positive and finite real number, reported as a float.  Without
+            a budget, each kind draws at most its frame total; a target
+            still unmet there raises ValueError.
         seed: nonnegative root seed; each frame kind draws from its own
             stream of it, so a run is reproducible given the same arguments.
 
@@ -243,9 +245,13 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
         raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget is not None and not 0 <= budget <= _INT64_MAX:
         raise ValueError("budget must be between 0 and 2**63 - 1")
-    if target_cv is not None and not 0 < target_cv < math.inf:
-        raise ValueError(f"target CV must be positive and finite, "
-                         f"got {target_cv}")
+    if target_cv is not None:
+        # a numpy float becomes a float, which JSON takes
+        if (not isinstance(target_cv, numbers.Real)
+                or not 0 < target_cv < math.inf):
+            raise ValueError(f"target CV must be positive and finite, "
+                             f"got {target_cv!r}")
+        target_cv = float(target_cv)
 
     totals = frame_totals(g)
     kinds = kinds_for_size(size)

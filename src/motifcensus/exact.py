@@ -32,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon import arrcode_table
-from .frames import CHUNK, FrameSet, kinds_for_size, koef_table
-from .graphs import Graph, induced_subgraph_codes
+from .frames import (CHUNK, FrameSet, induced_subgraph_codes, kinds_for_size,
+                     koef_table)
+from .graphs import Graph
 
 # frames of one kind from which a helper walks half of them: about where
 # the fork and its copy-on-write faults cost as much as the chunks saved

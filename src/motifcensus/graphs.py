@@ -1,4 +1,4 @@
-"""Simple-graph loading, normalization, and induced-subgraph bitmask codes.
+"""Simple-graph loading, normalization, subgraph bit order and pair table.
 
 Vertices are remapped to dense ids 0..n-1 in order of first appearance; the
 original labels are kept so the mapping is invertible.  An edge {u, v} has
@@ -20,10 +20,7 @@ and kept on it: an open-addressing hash set of the edge keys u * n + v,
 u < v, with linear probing and at least two slots per edge.  Each entry
 carries 2 direction bits, arc u -> v and arc v -> u (both set on an
 undirected graph), so one lookup per vertex pair answers both ordered
-pairs of a directed graph.  A frame's tree pairs are edges by
-construction, so only its closing pairs are looked up: on an undirected
-graph the tree pairs' bits are known, and a directed frame must bring the
-half-edges it was built from, whose adj_bits hold its tree pairs' arcs.
+pairs of a directed graph.
 Home slots come from the splitmix64 finalizer, which scatters the
 regular keys u * n + v: a lookup may read as far past a home slot as the
 table's largest displacement, and with multiply-shift hashing that was 33
@@ -37,12 +34,9 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .frames import FrameKind
 
 
 class EdgeListError(ValueError):
@@ -122,7 +116,7 @@ class Graph:
 
         Self-loops are dropped and duplicate pairs are deduplicated; for
         undirected graphs (u, v) and (v, u) are the same pair.  Vertex ids
-        must be integers, and n_vertices at most 2**30.
+        must be integers, n_vertices at most 2**30, and directed a bool.
         """
         # a tagged half-edge key, (n * n - 1) << 2, must fit in int64
         if (not isinstance(n_vertices, (int, np.integer))
@@ -148,6 +142,10 @@ class Graph:
 
 
 def _build(arr: np.ndarray, labels: tuple, directed: bool) -> Graph:
+    # any other value would pick a branch by its truth and reach the reports
+    if not isinstance(directed, (bool, np.bool_)):
+        raise TypeError(f"directed must be a bool, got {directed!r}")
+    directed = bool(directed)
     n = len(labels)
     loops = arr[:, 0] == arr[:, 1]
     u, v = arr[~loops].T
@@ -453,111 +451,3 @@ def _pair_table(g: Graph) -> _PairTable:
         keys += g.edge_v
         g._pair_table = _PairTable(keys, bits)
     return g._pair_table
-
-
-def _integers(values, what: str) -> np.ndarray:
-    """values as an int64 array, no copy when they are one; refuses any
-    other dtype than integers, unless there are no values."""
-    arr = np.asarray(values)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise ValueError(f"{what} must be integers, got {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
-
-
-@lru_cache(maxsize=None)
-def _lookup_plan(size: int, directed: bool, kind) -> tuple:
-    """How a code is built: arcs, base and lookups.
-
-    Given kind, the tree pairs are edges by construction.  On a directed
-    graph arcs holds the slots of (r, c) and (c, r) for each tree pair, in
-    kind.tree_pairs order, to be read from the frames' half-edges; on an
-    undirected graph base is the tree pairs' code.  lookups holds the rows
-    i < j of every other pair, each with the slots of (i, j) and (j, i).
-    """
-    slot = {pair: s for s, pair in enumerate(pair_slots(size, directed))}
-    tree = () if kind is None else kind.tree_pairs
-    arcs = tuple((slot[r, c], slot[c, r]) for r, c in tree) if directed else ()
-    base = 0 if directed else sum(1 << slot[min(p), max(p)] for p in tree)
-    settled = {(min(p), max(p)) for p in tree}
-    lookups = tuple((i, j, slot[i, j], slot.get((j, i)))
-                    for i, j in pair_slots(size, False)
-                    if (i, j) not in settled)
-    return arcs, base, lookups
-
-
-def induced_subgraph_codes(g: Graph, vertices: np.ndarray, *,
-                           kind: FrameKind | str | None = None,
-                           half_edges: np.ndarray | None = None
-                           ) -> np.ndarray:
-    """Induced-subgraph bitmask of each column of a (k, batch) array.
-
-    Each column holds 3 or 4 distinct vertices, as integers.  Bit s is set
-    when the pair at slot s (see pair_slots) is an edge, or an arc for
-    directed graphs.  A code depends on the vertex order; use the class
-    tables to get an order-free identity.
-
-    With kind, a FrameKind or its name, every column is an open frame of
-    that kind in the FrameBatch layout, and is trusted to be one: its tree
-    pairs are edges by construction, so only its closing pairs are looked
-    up.  On a directed graph the frames must bring their half_edges, the
-    FrameBatch.half_edges, and each tree pair's two arcs are read from
-    adj_bits there.  The half-edges are trusted as well: the one of tree
-    pair (r, c) must lie in vertex r's row and hold c.  Only their shape
-    and range are checked.
-    """
-    verts = _integers(vertices, "vertex ids")
-    if verts.ndim != 2:
-        raise ValueError(f"vertices must have shape (k, batch), got "
-                         f"{verts.shape}")
-    k = verts.shape[0]
-    if kind is not None:
-        from .frames import FrameKind
-        kind = FrameKind(kind)
-        if kind.size != k:
-            raise ValueError(f"{kind.value}s have {kind.size} vertices, "
-                             f"got {k} rows")
-    if half_edges is not None:
-        if kind is None:
-            raise ValueError("half_edges need the frame kind")
-        half = _integers(half_edges, "half-edges")
-        shape = (len(kind.tree_pairs), verts.shape[1])
-        if half.shape != shape:
-            raise ValueError(f"{kind.value} half-edges must have shape "
-                             f"{shape}, got {half.shape}")
-        if half.size and half.view(np.uint64).max() >= g.adj_flat.size:
-            raise ValueError(f"half-edges must be in 0 .. "
-                             f"{g.adj_flat.size - 1}")
-    elif kind is not None and g.directed:
-        raise ValueError("directed frames need their half_edges")
-    # a negative id wraps past every valid one, so one max checks both ends
-    if verts.size and verts.view(np.uint64).max() >= g.n_vertices:
-        raise ValueError(f"vertex ids must be in 0 .. {g.n_vertices - 1}")
-    if kind is None:
-        for i, j in pair_slots(k, False):
-            if (verts[i] == verts[j]).any():
-                raise ValueError(f"a column repeats a vertex in rows {i} "
-                                 f"and {j}")
-    arcs, base, lookups = _lookup_plan(k, g.directed, kind)
-    codes = np.full(verts.shape[1], base, dtype=np.int64)
-    for t, (forward, backward) in enumerate(arcs):
-        # int8 bits would overflow at the higher slots
-        bits = g.adj_bits[half[t]].astype(np.int64)
-        codes |= (bits & 1) << forward
-        bits >>= 1
-        codes |= bits << backward
-    table = _pair_table(g)
-    # one pair at a time: one lookup of all pairs stacked ran 10-20 %
-    # faster, but its arrays raised peak memory by more than the table
-    for i, j, forward, backward in lookups:
-        a = verts[i]
-        b = verts[j]
-        keys = np.minimum(a, b)
-        keys *= g.n_vertices
-        keys += np.maximum(a, b)
-        bits = table.lookup(keys)
-        # bit 0 is the arc min -> max, bit 1 the arc max -> min
-        flip = a > b
-        codes |= (bits >> flip & 1) << forward
-        if g.directed:
-            codes |= (bits >> ~flip & 1) << backward
-    return codes

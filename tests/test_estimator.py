@@ -295,6 +295,23 @@ def test_run_takes_numpy_integers_and_refuses_floats(k4):
             run_sampled_census(k4, 4, budget=budget, seed=1)
 
 
+def test_run_stores_a_numpy_target_as_a_float(k4):
+    # a float32 target ran, then broke json.dumps of the report
+    report = run_sampled_census(k4, 4, budget=3000, seed=11,
+                                target_cv=np.float32(0.5))
+    assert type(report.target_cv) is float and report.target_cv == 0.5
+    assert json.loads(json.dumps(report.to_dict()))["target_cv"] == 0.5
+    assert run_sampled_census(k4, 4, budget=3000, seed=11,
+                              target_cv=1).target_cv == 1.0
+
+
+def test_run_refuses_a_target_that_is_not_a_real_number(k4):
+    for target in ("0.5", b"0.5", 0.5j):
+        with pytest.raises(ValueError, match="^target CV must be positive "
+                           "and finite, got "):
+            run_sampled_census(k4, 4, budget=10, target_cv=target, seed=1)
+
+
 def test_run_with_zero_budget_reports_nothing(k4):
     report = run_sampled_census(k4, 4, budget=0, seed=3)
     assert report.motifs == []

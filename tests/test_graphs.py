@@ -1,4 +1,5 @@
 import io
+import json
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from motifcensus import (EdgeListError, FrameKind, Graph,
                          induced_subgraph_codes, load_graph, loads_graph,
-                         pair_slots)
+                         pair_slots, run_sampled_census)
 from motifcensus.frames import FrameSet
 from motifcensus.graphs import _lines, _mix, _PairTable
 from oracles import (arcs, dumps_graph, induced_code, parse_edge_list,
@@ -17,10 +18,6 @@ from oracles import (arcs, dumps_graph, induced_code, parse_edge_list,
 
 def _row(g, v):
     return g.adj_flat[g.adj_offsets[v]:g.adj_offsets[v + 1]]
-
-
-def _code(g, vertices):
-    return int(induced_subgraph_codes(g, np.array(vertices)[:, None])[0])
 
 
 def test_triangle_basics(k3):
@@ -309,6 +306,20 @@ def test_from_edges_refuses_a_bad_vertex_count(n):
         Graph.from_edges(n, [(0, 1)])
 
 
+def test_directed_must_be_a_bool():
+    # "no" is truthy: it built a directed graph that reported "no"
+    for directed in ("no", 1, None):
+        with pytest.raises(TypeError, match="directed must be a bool"):
+            loads_graph("0 1\n1 2\n", directed=directed)
+        with pytest.raises(TypeError, match="directed must be a bool"):
+            Graph.from_edges(3, [(0, 1)], directed=directed)
+    # a numpy bool is stored as a bool, so a sampled report dumps to JSON
+    g = loads_graph("0 1\n1 2\n", directed=np.True_)
+    assert g.directed is True
+    report = run_sampled_census(g, 3, budget=100, seed=1)
+    assert json.loads(json.dumps(report.to_dict()))["directed"] is True
+
+
 def test_pair_slot_order():
     assert pair_slots(3, False) == ((0, 1), (0, 2), (1, 2))
     assert pair_slots(3, True) == ((0, 1), (0, 2), (1, 0), (1, 2),
@@ -318,60 +329,43 @@ def test_pair_slot_order():
 
 
 def test_induced_code_examples(k3, path3):
-    # bit 0 = pair (0,1), bit 1 = (0,2), bit 2 = (1,2)
-    assert _code(k3, (0, 1, 2)) == 0b111
-    assert _code(path3, (0, 1, 2)) == 0b101
-    assert _code(path3, (0, 1, 3)) == 0b001
-    # edges (0,1), (1,2), (2,3) sit at slots 0, 3, 5 of the quad order
-    assert _code(path3, (0, 1, 2, 3)) == 0b101001
+    # a fork is (leaf, center, leaf); bit 0 = pair (0,1), bit 1 = (0,2),
+    # bit 2 = (1,2)
+    fork = np.array([[0], [1], [2]])
+    assert induced_subgraph_codes(k3, fork, kind="fork").tolist() == [0b111]
+    assert induced_subgraph_codes(path3, fork, kind="fork").tolist() == \
+        [0b101]
+    # a chain is (end, middle, middle, end): edges (0,1), (1,2), (2,3) sit
+    # at slots 0, 3, 5 of the quad order
+    chain = np.array([[0], [1], [2], [3]])
+    assert induced_subgraph_codes(path3, chain, kind="chain").tolist() == \
+        [0b101001]
 
 
 def test_induced_code_directed(ffl):
-    # arcs 0->1, 0->2, 1->2 against slots (01,02,10,12,20,21)
-    assert _code(ffl, (0, 1, 2)) == 0b001011
-
-
-def test_vectorized_codes_match_scalar():
-    rng = np.random.default_rng(21)
-    for directed in (False, True):
-        g = random_graph(rng, 18, 0.3, directed=directed)
-        for k in (3, 4):
-            cols = np.stack([
-                np.array(sorted(rng.choice(18, size=k, replace=False)))
-                for _ in range(200)
-            ]).T
-            batch = induced_subgraph_codes(g, cols)
-            for t in range(cols.shape[1]):
-                assert batch[t] == induced_code(g, cols[:, t])
-
-
-def test_code_respects_vertex_order():
-    # permuting the query tuple permutes the bits, not the edge content
-    rng = np.random.default_rng(22)
-    g = random_graph(rng, 12, 0.4, directed=False)
-    from itertools import permutations
-    vs = (1, 5, 8)
-    codes = {_code(g, p) for p in permutations(vs)}
-    ones = {bin(c).count("1") for c in codes}
-    assert len(ones) == 1  # edge count is order-free even when bits move
+    # arcs 0->1, 0->2, 1->2 against slots (01,02,10,12,20,21); the fork
+    # (0, 1, 2), centred on 1, is rank 1 (center 0's fork comes first)
+    verts, half = FrameSet(ffl, FrameKind.FORK).unrank(
+        np.array([1])).open_frames
+    assert verts[:, 0].tolist() == [0, 1, 2]
+    assert induced_subgraph_codes(ffl, verts, kind="fork",
+                                  half_edges=half).tolist() == [0b001011]
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(small_graphs())
 def test_frame_codes_match_the_oracle(g):
-    # with its kind, a frame's tree pairs are not looked up: their bits are
-    # known on an undirected graph, and read through the frame's
-    # half-edges on a directed one; the codes must still be those of every
-    # pair looked up
+    # a frame's tree pairs are not looked up: their bits are known on an
+    # undirected graph, and read through the frame's half-edges on a
+    # directed one; the codes must still be those of the oracle, which
+    # looks up every pair
     for kind in (FrameKind.FORK, FrameKind.CHAIN, FrameKind.TRIDENT):
         frames = FrameSet(g, kind)
         verts, half = frames.unrank(
             np.arange(frames.total, dtype=np.int64)).open_frames
         assert (half is not None) == g.directed
-        every_pair = induced_subgraph_codes(g, verts).tolist()
-        assert every_pair == [induced_code(g, col) for col in verts.T]
         codes = induced_subgraph_codes(g, verts, kind=kind, half_edges=half)
-        assert codes.tolist() == every_pair
+        assert codes.tolist() == [induced_code(g, col) for col in verts.T]
         if verts.shape[1]:
             one = None if half is None else half[:, :1]
             assert induced_subgraph_codes(
@@ -379,14 +373,14 @@ def test_frame_codes_match_the_oracle(g):
                 half_edges=one).tolist() == codes[:1].tolist()
 
 
-@pytest.mark.parametrize("kind,closing,every",
-                         [(FrameKind.FORK, 1, 3), (FrameKind.CHAIN, 3, 6),
-                          (FrameKind.TRIDENT, 3, 6)])
+@pytest.mark.parametrize("kind,closing",
+                         [(FrameKind.FORK, 1), (FrameKind.CHAIN, 3),
+                          (FrameKind.TRIDENT, 3)])
 def test_directed_frames_look_up_only_their_closing_pairs(
-        monkeypatch, kind, closing, every):
+        monkeypatch, kind, closing):
     # keys sent to the pair table per frame: the closing pairs only, since
-    # the tree pairs' arcs come from the half-edges, and every pair on the
-    # generic path; a directed frame without its half-edges is refused
+    # the tree pairs' arcs come from the half-edges; a directed frame
+    # without its half-edges is refused
     g = random_graph(np.random.default_rng(23), 16, 0.4, directed=True)
     sent = []
     real = _PairTable.lookup
@@ -402,29 +396,18 @@ def test_directed_frames_look_up_only_their_closing_pairs(
     assert frames_in > 0
     induced_subgraph_codes(g, verts, kind=kind, half_edges=half)
     assert sum(sent) == closing * frames_in
-    sent.clear()
-    induced_subgraph_codes(g, verts)
-    assert sum(sent) == every * frames_in
     with pytest.raises(ValueError,
                        match="directed frames need their half_edges"):
         induced_subgraph_codes(g, verts, kind=kind)
 
 
-@pytest.mark.parametrize("directed", [False, True])
-def test_edgeless_graph_codes_are_zero(directed):
-    g = Graph.from_edges(6, [], directed=directed)
-    for k in (3, 4):
-        cols = np.array([[0, 1, 2, 3][:k], [5, 4, 3, 2][:k]]).T
-        assert induced_subgraph_codes(g, cols).tolist() == [0, 0]
-
-
 @pytest.mark.parametrize("bad", [5, 3, -1])
 def test_codes_refuse_vertex_ids_out_of_range(bad):
-    # on the path 0-1-2, key 0 * 3 + 5 of the pair (0, 5) is key 1 * 3 + 2
-    # of the edge (1, 2)
+    # on the path 0-1-2, key 0 * 3 + 5 of the fork's closing pair (0, 5)
+    # is key 1 * 3 + 2 of the edge (1, 2)
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match=r"vertex ids must be in 0 \.\. 2"):
-        induced_subgraph_codes(g, np.array([[0], [1], [bad]]))
+        induced_subgraph_codes(g, np.array([[0], [1], [bad]]), kind="fork")
 
 
 def test_kind_must_match_the_rows(k4):
@@ -436,8 +419,9 @@ def test_kind_must_match_the_rows(k4):
 def test_codes_refuse_non_integer_vertices(path3):
     # truncated, the columns would read (0, 1, 2)
     with pytest.raises(ValueError, match="vertex ids must be integers"):
-        induced_subgraph_codes(path3, [[0.9], [1.5], [2.2]])
-    assert induced_subgraph_codes(path3, [[0], [1], [2]]).tolist() == [0b101]
+        induced_subgraph_codes(path3, [[0.9], [1.5], [2.2]], kind="fork")
+    assert induced_subgraph_codes(path3, [[0], [1], [2]],
+                                  kind="fork").tolist() == [0b101]
 
 
 @pytest.mark.parametrize("shape", [(3,), (3, 1, 1)])
@@ -446,7 +430,7 @@ def test_codes_refuse_vertices_that_are_not_2d(path3, shape):
     verts = np.arange(3).reshape(shape)
     with pytest.raises(ValueError, match=r"shape \(k, batch\), got "
                        + re.escape(str(shape))):
-        induced_subgraph_codes(path3, verts)
+        induced_subgraph_codes(path3, verts, kind="fork")
 
 
 def test_codes_take_a_kind_by_name(path3):
@@ -455,11 +439,6 @@ def test_codes_take_a_kind_by_name(path3):
         [0b101]
     with pytest.raises(ValueError, match="'spoon' is not a valid FrameKind"):
         induced_subgraph_codes(path3, verts, kind="spoon")
-
-
-def test_codes_refuse_a_repeated_vertex(path3):
-    with pytest.raises(ValueError, match="repeats a vertex in rows 0 and 1"):
-        induced_subgraph_codes(path3, np.array([[0], [0], [1]]))
 
 
 def _directed_forks():
@@ -471,12 +450,15 @@ def _directed_forks():
 
 
 def test_half_edges_need_the_kind():
+    # the classifier takes frames only: without their kind, with or
+    # without half-edges, the call is refused
     g, verts, half = _directed_forks()
     assert induced_subgraph_codes(g, verts, kind="fork",
                                   half_edges=half).tolist() == \
-        [_code(g, verts[:, 0])]
-    with pytest.raises(ValueError, match="half_edges need the frame kind"):
-        induced_subgraph_codes(g, verts, half_edges=half)
+        [induced_code(g, verts[:, 0])]
+    for half_edges in (half, None):
+        with pytest.raises(TypeError, match="'kind'"):
+            induced_subgraph_codes(g, verts, half_edges=half_edges)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2,), (3, 1)])
