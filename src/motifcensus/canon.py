@@ -1,11 +1,18 @@
-"""Isomorphism classes of 3- and 4-vertex subgraphs via lookup tables.
+"""Subgraph codes and their isomorphism classes, via lookup tables.
 
-Every raw adjacency bitmask (see graphs.pair_slots for the bit order) maps
-to a class id through a table built once by brute force: the canonical form
-of a code is the minimum over all vertex permutations of the relabeled
-bitmask, and class ids are assigned in ascending order of canonical code.
-Connectivity of directed classes means weak connectivity, i.e. connectivity
-of the underlying undirected view.
+A set of 3 or 4 vertices maps to an integer code, one bit per vertex pair
+(ordered pairs for directed graphs).  Pairs are enumerated in
+lexicographic order and bit 0, the least significant bit, belongs to the
+first pair (see pair_slots).  This module owns that bit order; the
+classifier in frames reads it from here.
+
+Every code maps to a class id through a table built once by brute force:
+the canonical form of a code is the minimum over all vertex permutations
+of the relabeled bitmask, and class ids are assigned in ascending order of
+canonical code.  Connectivity of directed classes means weak connectivity,
+i.e. connectivity of the underlying undirected view.  Slots and tables are
+cached by argument type, and each builder checks its arguments, so a call
+never depends on what an earlier call with 4.0 or 1 left in a cache.
 """
 
 from __future__ import annotations
@@ -16,7 +23,24 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import pair_slots
+
+def _family(size, directed) -> tuple[int, bool]:
+    """A family's size, the integer 3 or 4, as an int, and its directed
+    flag, which must be a bool."""
+    if not isinstance(size, (int, np.integer)) or size not in (3, 4):
+        raise ValueError(f"motif size must be 3 or 4, got {size!r}")
+    if not isinstance(directed, (bool, np.bool_)):
+        raise TypeError(f"directed must be a bool, got {directed!r}")
+    return int(size), bool(directed)
+
+
+@lru_cache(maxsize=None, typed=True)
+def pair_slots(size: int, directed: bool) -> tuple[tuple[int, int], ...]:
+    """Vertex-pair order behind the subgraph bitmask: slot s <-> bit s."""
+    size, directed = _family(size, directed)
+    if directed:
+        return tuple((i, j) for i in range(size) for j in range(size) if i != j)
+    return tuple((i, j) for i in range(size) for j in range(i + 1, size))
 
 
 @dataclass(frozen=True)
@@ -65,27 +89,22 @@ class ArrcodeTable:
 
 def _is_connected(code: int, size: int,
                   slots: tuple[tuple[int, int], ...]) -> bool:
-    """Union-find over the undirected view; isolated vertices count."""
-    parent = list(range(size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s, (i, j) in enumerate(slots):
-        if code >> s & 1:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    return len({find(v) for v in range(size)}) == 1
+    """Whether the undirected view of code reaches every vertex from
+    vertex 0; isolated vertices count.  Each pass over the slots reaches
+    at least one edge further along every path, and no path needs more
+    than size - 1 edges."""
+    reach = 1
+    for _ in range(size - 1):
+        for s, (i, j) in enumerate(slots):
+            if code >> s & 1 and (reach >> i | reach >> j) & 1:
+                reach |= 1 << i | 1 << j
+    return reach == (1 << size) - 1
 
 
-def _build_arrcode(size: int, directed: bool) -> ArrcodeTable:
-    """Brute-force the full code -> class table for one family."""
-    if size not in (3, 4):
-        raise ValueError(f"subgraph size must be 3 or 4, got {size}")
+@lru_cache(maxsize=None, typed=True)
+def arrcode_table(size: int, directed: bool) -> ArrcodeTable:
+    """Class table of one family, built once by brute force."""
+    size, directed = _family(size, directed)
     slots = pair_slots(size, directed)
     slot_index = {p: s for s, p in enumerate(slots)}
     n_bits = len(slots)
@@ -113,9 +132,3 @@ def _build_arrcode(size: int, directed: bool) -> ArrcodeTable:
         MotifClass(cid, int(c), _is_connected(int(c), size, slots))
         for cid, c in enumerate(canonical))
     return ArrcodeTable(size, directed, entries, classes)
-
-
-@lru_cache(maxsize=None)
-def arrcode_table(size: int, directed: bool) -> ArrcodeTable:
-    """Class table of one family, built once by brute force."""
-    return _build_arrcode(size, directed)

@@ -189,9 +189,14 @@ def _cmd_frames(args: argparse.Namespace) -> int:
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     families = [(3, False), (3, True), (4, False), (4, True)]
+    koef_tables = []
+    for s, d in families:
+        koef = koef_table(s, d)
+        koef_tables.append({"size": s, "directed": d, "koef": {
+            kind.value: counts.tolist() for kind, counts in koef.items()}})
     return _emit(args, {
         "arrcode_tables": [arrcode_table(s, d).to_dict() for s, d in families],
-        "koef_tables": [koef_table(s, d).to_dict() for s, d in families],
+        "koef_tables": koef_tables,
     })
 
 

@@ -38,11 +38,12 @@ import numbers
 import operator
 import time
 from dataclasses import dataclass, fields
+from typing import Mapping
 
 import numpy as np
 
 from .canon import arrcode_table
-from .frames import (_INT64_MAX, CHUNK, FrameKind, FrameTotals, KoefTable,
+from .frames import (_INT64_MAX, CHUNK, FrameKind, FrameTotals,
                      frame_sampler, frame_totals, induced_subgraph_codes,
                      kinds_for_size, koef_table)
 from .graphs import Graph, _pair_table
@@ -102,26 +103,27 @@ class CensusReport:
         return out
 
 
-def _build_estimates(koefs: KoefTable, totals: FrameTotals, n: dict,
+def _build_estimates(koefs: Mapping, totals: FrameTotals, n: dict,
                      hits: dict) -> tuple:
     """Estimates of every class at once from the per-kind tallies: n[kind]
     experiments and the detection array hits[kind].
 
     Returns per-class arrays (n_hat, variance, cv, lam, parts, kind_var).
-    parts and kind_var have one row per kind of koefs.kinds: kind_var holds
-    each kind's own variance, and parts marks the classes that kind
-    estimates: those it spans (koef > 0, so connected ones only), once it
-    has experiments, or at once when the graph has no frames of the kind,
-    since the count is then exactly zero.  A class no kind estimates is
-    not reported.  cv is NaN where n_hat is 0; lam is NaN unless both
-    kinds estimate the class and one of them is nonzero.
+    parts and kind_var have one row per kind of koefs, the map koef_table
+    returns, in its order: kind_var holds each kind's own variance, and
+    parts marks the classes that kind estimates: those it spans (koef > 0,
+    so connected ones only), once it has experiments, or at once when the
+    graph has no frames of the kind, since the count is then exactly zero.
+    A class no kind estimates is not reported.  cv is NaN where n_hat is
+    0; lam is NaN unless both kinds estimate the class and one of them is
+    nonzero.
     """
-    kinds = koefs.kinds
+    kinds = tuple(koefs)
     shape = (len(kinds), len(hits[kinds[0]]))
     n_hat, kind_var = np.zeros(shape), np.zeros(shape)
     parts = np.zeros(shape, dtype=bool)
     for i, kind in enumerate(kinds):
-        koef, n_f, n_k = koefs.counts[kind], totals.for_kind(kind), n[kind]
+        koef, n_f, n_k = koefs[kind], totals.for_kind(kind), n[kind]
         if n_f == 0 or n_k > 0:
             parts[i] = koef > 0
         if n_f > 0 and n_k > 0:
@@ -229,8 +231,9 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
         CensusReport with per-class estimates and per-experiment tallies.
     """
     t0 = time.perf_counter()
-    if size not in (3, 4):
-        raise ValueError(f"motif size must be 3 or 4, got {size}")
+    # the table checks the size: 3 or 4, and a numpy integer becomes an int
+    table = arrcode_table(size, g.directed)
+    size = table.size
     # numpy integers become ints, which JSON takes; a budget of 2.0 is refused
     try:
         seed = operator.index(seed)
@@ -258,7 +261,6 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     active = tuple(k for k in kinds if totals.for_kind(k) > 0)
     if not active:
         raise ValueError(f"graph has no size-{size} frames to sample")
-    table = arrcode_table(size, g.directed)
     koefs = koef_table(size, g.directed)
     samplers = {k: frame_sampler(g, k) for k in active}
     # the pair table's build sets the census's peak memory: build it
@@ -337,7 +339,7 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
         "lambda": None if math.isnan(lam[cid]) else lam[cid],
         "sources": [k.value for k, p in zip(kinds, parts[:, cid]) if p],
         "detections": {k.value: int(hits[k][cid]) for k in kinds},
-        "koef": {k.value: int(koefs.counts[k][cid]) for k in kinds},
+        "koef": {k.value: int(koefs[k][cid]) for k in kinds},
     } for cid in np.flatnonzero(parts.any(axis=0)).tolist()]
 
     return CensusReport(

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon import arrcode_table
-from .frames import (CHUNK, FrameSet, induced_subgraph_codes, kinds_for_size,
-                     koef_table)
+from .frames import CHUNK, FrameSet, induced_subgraph_codes, koef_table
 from .graphs import Graph
 
 # frames of one kind from which a helper walks half of them: about where
@@ -57,18 +56,18 @@ class ExactCensus:
 def exact_census(g: Graph, size: int) -> ExactCensus:
     """Count every connected motif class of one size exactly."""
     t0 = time.perf_counter()
-    kinds = kinds_for_size(size)
+    # the table checks the size: 3 or 4, and a numpy integer becomes an int
     table = arrcode_table(size, g.directed)
+    size = table.size
     koefs = koef_table(size, g.directed)
     counts = np.zeros(table.n_classes, dtype=np.int64)
     counted = np.zeros(table.n_classes, dtype=bool)
-    for kind in kinds:
+    for kind, koef in koefs.items():
         frames = FrameSet(g, kind)
         if frames.total >= _SPLIT_FROM and _helper_allowed():
             hits = _walk_split(g, frames, kind, table)
         else:
             hits = _walk(g, frames, kind, table, 0, frames.total)
-        koef = koefs.counts[kind]
         sees = koef > 0
         found, rest = np.divmod(hits, np.where(sees, koef, 1))
         if rest.any() or hits[~sees].any():

@@ -16,27 +16,28 @@ one experiment but cannot detect any motif.
 Frames live on the undirected view: a frame's tree pairs are edges, each
 picked as a half-edge, one entry of a CSR row (see Graph).  The classifier
 takes frames of one kind and gives each its induced-subgraph code (bit
-order: graphs.pair_slots).  A frame's tree pairs are edges by
+order: canon.pair_slots).  A frame's tree pairs are edges by
 construction, so only its closing pairs are looked up in the graph's pair
 table: on an undirected graph the tree pairs' bits are known, and on a
 directed one the unranker returns the frame's half-edges, whose adj_bits
 hold its tree pairs' arcs.  Containment coefficients (how many frames
 of a kind lie inside one motif instance) are counted by the same ranking,
-run on one graph that holds every class representative (see koef_table).
+run on one graph that holds every class representative: koef_table
+returns them as a map from each kind to its per-class counts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
-from .canon import arrcode_table
-from .graphs import Graph, _pair_table, pair_slots
+from .canon import arrcode_table, pair_slots
+from .graphs import Graph, _pair_table
 
 # frames per vectorized unrank and classification: a chunk of the exact
 # walk, and a sampled round, one batch per kind, 2 * CHUNK at size 4
@@ -122,7 +123,6 @@ class FrameBatch:
     """
 
     vertices: np.ndarray
-    degenerate: np.ndarray
     half_edges: np.ndarray | None = None
 
     @property
@@ -130,12 +130,19 @@ class FrameBatch:
         return int(self.vertices.shape[1])
 
     @property
+    def degenerate(self) -> np.ndarray:
+        """Whether each frame is degenerate: a fork or trident never
+        repeats its first vertex in its last row, a closed chain does."""
+        return self.vertices[0] == self.vertices[-1]
+
+    @property
     def open_frames(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The vertices and half-edges of the frames that are not
         degenerate; no copy when none is."""
-        if not self.degenerate.any():
+        degenerate = self.degenerate
+        if not degenerate.any():
             return self.vertices, self.half_edges
-        keep = ~self.degenerate
+        keep = ~degenerate
         return (self.vertices[:, keep],
                 None if self.half_edges is None else self.half_edges[:, keep])
 
@@ -214,14 +221,17 @@ class FrameSet:
         self.total = _exact_sum(weights)
         if self.total > _INT64_MAX:
             raise ValueError(f"{self.total} frames exceed the 64-bit range")
-        self._cum = np.cumsum(weights)
+        # cum[i] is the weight of the items before item i
+        self._cum = np.zeros(weights.size + 1, dtype=np.int64)
+        np.cumsum(weights, out=self._cum[1:])
 
     def unrank(self, t: np.ndarray) -> FrameBatch:
         """The frames of ranks t, one column each, with their half-edges on
         a directed graph."""
         g = self._g
         i = np.searchsorted(self._cum, t, side="right")
-        r = t - np.where(i > 0, self._cum[i - 1], 0)
+        i -= 1
+        r = t - self._cum[i]
         if self.kind is FrameKind.CHAIN:
             u = g.edge_u[i]
             v = g.edge_v[i]
@@ -243,7 +253,7 @@ class FrameSet:
                 half = np.stack([ia, mid, ib])
             # free the indices before the vertices are stacked
             del ia, mid, ib, row
-            return FrameBatch(np.stack([a, u, v, b]), a == b, half)
+            return FrameBatch(np.stack([a, u, v, b]), half)
         colex = _colex_pair if self.kind is FrameKind.FORK else _colex_triple
         half = g.adj_offsets[i] + np.stack(colex(r))
         leaves = g.adj_flat[half]
@@ -253,7 +263,7 @@ class FrameSet:
             verts = np.stack([leaves[0], i, leaves[1]])
         else:
             verts = np.vstack([i, leaves])
-        return FrameBatch(verts, np.zeros(t.size, dtype=bool), half)
+        return FrameBatch(verts, half)
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> FrameBatch:
         """Uniform frames: integer ranks keep every frame equally likely.
@@ -383,30 +393,12 @@ def induced_subgraph_codes(g: Graph, vertices: np.ndarray, *,
 # -- containment coefficients ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class KoefTable:
-    """Frame instances contained in one motif instance, per class."""
-
-    size: int
-    directed: bool
-    counts: MappingProxyType = field(repr=False)
-
-    @property
-    def kinds(self) -> tuple[FrameKind, ...]:
-        return kinds_for_size(self.size)
-
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "directed": self.directed,
-            "koef": {kind.value: self.counts[kind].tolist()
-                     for kind in self.kinds},
-        }
-
-
-@lru_cache(maxsize=None)
-def koef_table(size: int, directed: bool = False) -> KoefTable:
-    """Frames of each kind inside each class representative.
+@lru_cache(maxsize=None, typed=True)
+def koef_table(size: int, directed: bool = False
+               ) -> MappingProxyType[FrameKind, np.ndarray]:
+    """Frames of each kind inside each class representative: a read-only
+    map from each kind of kinds_for_size(size), in that order, to its
+    read-only per-class counts.
 
     One graph holds every representative as its own component, class c on
     vertices size * c .. size * c + size - 1.  Every frame lies inside one
@@ -415,7 +407,8 @@ def koef_table(size: int, directed: bool = False) -> KoefTable:
     is classified, so the exact census's whole-multiple check still tests
     the classifier against an independent count.
     """
-    table = arrcode_table(size, directed)
+    table = arrcode_table(size, directed)   # checks size and directed
+    size, directed = table.size, table.directed
     slots = pair_slots(size, directed)
     pairs = [(size * c + i, size * c + j)
              for c, cls in enumerate(table.classes)
@@ -431,4 +424,4 @@ def koef_table(size: int, directed: bool = False) -> KoefTable:
                            minlength=table.n_classes)
         vals.setflags(write=False)
         counts[kind] = vals
-    return KoefTable(size, directed, MappingProxyType(counts))
+    return MappingProxyType(counts)

@@ -1,4 +1,4 @@
-"""Simple-graph loading, normalization, subgraph bit order and pair table.
+"""Simple-graph loading, normalization, CSR adjacency and pair table.
 
 Vertices are remapped to dense ids 0..n-1 in order of first appearance; the
 original labels are kept so the mapping is invertible.  An edge {u, v} has
@@ -9,18 +9,15 @@ row v for the arc u -> v, 3 at both for an edge.  One sort of the tagged
 keys gives the CSR adjacency, rows sorted by neighbor, with the OR of each
 half-edge's tags as its direction bits, adj_bits.  So reciprocal arcs
 collapse to a single undirected edge; degrees always refer to the
-collapsed view.
+collapsed view.  This module knows nothing of subgraph codes: their bit
+order lives in canon, and the classifier in frames.
 
-A set of 3 or 4 vertices maps to an integer code, one bit per vertex pair
-(ordered pairs for directed graphs).  Pairs are enumerated in lexicographic
-order and bit 0, the least significant bit, belongs to the first pair.
-
-Codes are read from a pair table, built on a graph's first classification
-and kept on it: an open-addressing hash set of the edge keys u * n + v,
-u < v, with linear probing and at least two slots per edge.  Each entry
-carries 2 direction bits, arc u -> v and arc v -> u (both set on an
-undirected graph), so one lookup per vertex pair answers both ordered
-pairs of a directed graph.
+The classifier reads pairs from a pair table, built on a graph's first
+classification and kept on it: an open-addressing hash set of the edge
+keys u * n + v, u < v, with linear probing and at least two slots per
+edge.  Each entry carries 2 direction bits, arc u -> v and arc v -> u
+(both set on an undirected graph), so one lookup per vertex pair answers
+both ordered pairs of a directed graph.
 Home slots come from the splitmix64 finalizer, which scatters the
 regular keys u * n + v: a lookup may read as far past a home slot as the
 table's largest displacement, and with multiply-shift hashing that was 33
@@ -31,7 +28,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -61,16 +57,6 @@ class LoadReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@lru_cache(maxsize=None)
-def pair_slots(size: int, directed: bool) -> tuple[tuple[int, int], ...]:
-    """Vertex-pair order behind the subgraph bitmask: slot s <-> bit s."""
-    if size < 2:
-        raise ValueError(f"subgraph size must be at least 2, got {size}")
-    if directed:
-        return tuple((i, j) for i in range(size) for j in range(size) if i != j)
-    return tuple((i, j) for i in range(size) for j in range(i + 1, size))
 
 
 class Graph:
@@ -194,18 +180,15 @@ def _blocks(text: str, start: int = 0, block: int = 1 << 16) -> Iterator[str]:
         start = end
 
 
-def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
-    """text.splitlines(), split one block at a time, so only one block's
-    lines are held at once."""
-    return chain.from_iterable(map(str.splitlines, _blocks(text, 0, block)))
-
-
 def _read_tokens(text: str) -> tuple[np.ndarray, tuple]:
     """Pairs of dense ids and the labels behind them, from any edge-list
     text, one line at a time."""
     ids: dict[str, int] = {}
     flat: list[int] = []
-    for line_no, line in enumerate(_lines(text), 1):
+    # text.splitlines(), split one block at a time, so only one block's
+    # lines are held at once
+    lines = chain.from_iterable(map(str.splitlines, _blocks(text)))
+    for line_no, line in enumerate(lines, 1):
         tokens = line.split()
         if not tokens or tokens[0][0] == "#":
             continue

@@ -290,7 +290,7 @@ def estimate_rows(report: dict) -> list:
             continue
         parts = []
         for kind in kinds_for_size(size):
-            koef = koefs.counts[kind][cls.class_id]
+            koef = koefs[kind][cls.class_id]
             n_f = report["frame_totals"][kind.value]
             n = report["experiments"][kind.value]["n_experiments"]
             if koef == 0:

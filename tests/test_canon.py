@@ -1,9 +1,10 @@
+import json
 from itertools import permutations
 
+import numpy as np
 import pytest
 
-from motifcensus import arrcode_table, pair_slots
-from motifcensus.canon import _build_arrcode
+from motifcensus import arrcode_table, koef_table, pair_slots
 from oracles import isomorphism_class_counts
 
 FAMILIES = [(3, False), (3, True), (4, False), (4, True)]
@@ -115,7 +116,28 @@ def test_directed_triples_have_13_connected_classes():
 
 def test_build_arrcode_rejects_bad_size():
     with pytest.raises(ValueError):
-        _build_arrcode(5, False)
+        arrcode_table.__wrapped__(5, False)
+
+
+def test_tables_do_not_depend_on_what_the_caches_hold():
+    # 4.0 and 1 equal 4 and True: a cache keyed by value handed them the
+    # table of the family they equal, or built one they then reported
+    for build in (pair_slots, arrcode_table, koef_table):
+        build(4, False)
+        build(3, True)
+        with pytest.raises(ValueError, match="^motif size must be 3 or 4"):
+            build(4.0, False)
+        for directed in (1, "no", None):
+            with pytest.raises(TypeError, match="^directed must be a bool"):
+                build(3, directed)
+    # a numpy integer and a numpy bool name their family
+    table = arrcode_table(np.int64(3), np.True_)
+    assert type(table.size) is int and table.directed is True
+    assert json.dumps(table.to_dict()) == \
+        json.dumps(arrcode_table(3, True).to_dict())
+    koefs = koef_table(np.int32(4), np.False_)
+    assert {k: v.tolist() for k, v in koefs.items()} == \
+        {k: v.tolist() for k, v in koef_table(4, False).items()}
 
 
 def test_entries_are_read_only():

@@ -295,6 +295,23 @@ def test_run_takes_numpy_integers_and_refuses_floats(k4):
             run_sampled_census(k4, 4, budget=budget, seed=1)
 
 
+def test_census_size_must_be_the_integer_3_or_4(k4):
+    # 4.0 passed the size check; what it did then depended on whether an
+    # integer-size run had filled the table caches before
+    for size in (3, 4):
+        run_sampled_census(k4, size, budget=100, seed=1)
+        exact_census(k4, size)
+    for size in (4.0, 3.0, True, "4"):
+        with pytest.raises(ValueError, match="^motif size must be 3 or 4"):
+            run_sampled_census(k4, size, budget=100, seed=1)
+        with pytest.raises(ValueError, match="^motif size must be 3 or 4"):
+            exact_census(k4, size)
+    report = run_sampled_census(k4, np.int64(4), budget=100, seed=1)
+    assert type(report.size) is int
+    assert json.loads(json.dumps(report.to_dict()))["size"] == 4
+    assert type(exact_census(k4, np.int64(3)).size) is int
+
+
 def test_run_stores_a_numpy_target_as_a_float(k4):
     # a float32 target ran, then broke json.dumps of the report
     report = run_sampled_census(k4, 4, budget=3000, seed=11,
@@ -565,8 +582,8 @@ def test_public_api_is_pinned():
         "n_vertices", "pairs", "directed"]
     names = [
         "ArrcodeTable", "CensusReport", "EdgeListError", "ExactCensus",
-        "FrameBatch", "FrameKind", "FrameTotals", "Graph", "KoefTable",
-        "LoadReport", "MotifClass", "arrcode_table", "exact_census",
+        "FrameBatch", "FrameKind", "FrameTotals", "Graph", "LoadReport",
+        "MotifClass", "arrcode_table", "exact_census",
         "frame_sampler", "frame_totals", "induced_subgraph_codes",
         "kinds_for_size", "koef_table", "load_graph", "loads_graph",
         "optimal_lambda", "pair_slots", "run_sampled_census"]

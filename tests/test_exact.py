@@ -90,15 +90,15 @@ def test_frame_handshakes():
 
         c3 = exact_census(g, 3).counts
         k3t = koef_table(3, directed)
-        assert sum(cnt * k3t.counts[FrameKind.FORK][cid]
+        assert sum(cnt * k3t[FrameKind.FORK][cid]
                    for cid, cnt in c3.items()) == totals.n_fork
 
         c4 = exact_census(g, 4).counts
         k4t = koef_table(4, directed)
-        assert sum(cnt * k4t.counts[FrameKind.TRIDENT][cid]
+        assert sum(cnt * k4t[FrameKind.TRIDENT][cid]
                    for cid, cnt in c4.items()) == totals.n_trident
         open_chains = totals.n_chain - common_neighbor_pairs(g)
-        assert sum(cnt * k4t.counts[FrameKind.CHAIN][cid]
+        assert sum(cnt * k4t[FrameKind.CHAIN][cid]
                    for cid, cnt in c4.items()) == open_chains
 
 

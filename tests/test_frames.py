@@ -258,9 +258,9 @@ def test_koef_fork_values():
     kt = koef_table(3, False)
     table = arrcode_table(3, False)
     by_code = {c.canonical_code: c.class_id for c in table.classes}
-    assert kt.counts[FrameKind.FORK][by_code[0b011]] == 1   # 2-path
-    assert kt.counts[FrameKind.FORK][by_code[0b111]] == 3   # triangle
-    assert kt.counts[FrameKind.FORK][by_code[0]] == 0       # empty
+    assert kt[FrameKind.FORK][by_code[0b011]] == 1   # 2-path
+    assert kt[FrameKind.FORK][by_code[0b111]] == 3   # triangle
+    assert kt[FrameKind.FORK][by_code[0]] == 0       # empty
 
 
 def test_koef_quad_values():
@@ -277,8 +277,8 @@ def test_koef_quad_values():
     }
     for code, (trident, chain) in expected.items():
         cid = by_code[code]
-        assert kt.counts[FrameKind.TRIDENT][cid] == trident
-        assert kt.counts[FrameKind.CHAIN][cid] == chain
+        assert kt[FrameKind.TRIDENT][cid] == trident
+        assert kt[FrameKind.CHAIN][cid] == chain
 
 
 def test_koef_coverage_split():
@@ -288,8 +288,8 @@ def test_koef_coverage_split():
     table = arrcode_table(4, False)
     chain_cover = trident_cover = 0
     for cid in (c.class_id for c in table.classes if c.connected):
-        ch = kt.counts[FrameKind.CHAIN][cid]
-        tr = kt.counts[FrameKind.TRIDENT][cid]
+        ch = kt[FrameKind.CHAIN][cid]
+        tr = kt[FrameKind.TRIDENT][cid]
         assert ch + tr > 0
         chain_cover += ch > 0
         trident_cover += tr > 0
@@ -302,7 +302,7 @@ def test_every_connected_class_is_coverable():
         kt = koef_table(size, directed)
         table = arrcode_table(size, directed)
         for cid in (c.class_id for c in table.classes if c.connected):
-            assert any(kt.counts[k][cid] > 0 for k in kinds_for_size(size))
+            assert any(kt[k][cid] > 0 for k in kinds_for_size(size))
 
 
 def test_koef_chain_matches_spanning_path_oracle():
@@ -314,7 +314,7 @@ def test_koef_chain_matches_spanning_path_oracle():
             if cls.canonical_code >> s & 1:
                 adj[i].add(j)
                 adj[j].add(i)
-        assert kt.counts[FrameKind.CHAIN][cls.class_id] == \
+        assert kt[FrameKind.CHAIN][cls.class_id] == \
             spanning_path_count(adj)
 
 
@@ -331,7 +331,7 @@ def test_koef_matches_the_frame_loop_oracle(size, directed):
         for kind in kinds_for_size(size):
             spanning = sum(1 for _, degenerate in frames_brute(rep, kind)
                            if not degenerate)
-            assert kt.counts[kind][cls.class_id] == spanning
+            assert kt[kind][cls.class_id] == spanning
 
 
 def test_directed_koef_follows_undirected_view():
@@ -349,11 +349,14 @@ def test_directed_koef_follows_undirected_view():
                 ucode |= 1 << uindex[(min(i, j), max(i, j))]
         ucid = utab.entries[ucode]
         for kind in (FrameKind.CHAIN, FrameKind.TRIDENT):
-            assert dkt.counts[kind][cls.class_id] == und.counts[kind][ucid]
+            assert dkt[kind][cls.class_id] == und[kind][ucid]
 
 
 def test_koef_size_mismatch_rejected():
     # a size-3 table holds forks only
-    assert list(koef_table(3, False).counts) == [FrameKind.FORK]
+    assert list(koef_table(3, False)) == [FrameKind.FORK]
     with pytest.raises(KeyError):
-        koef_table(3, False).counts[FrameKind.CHAIN]
+        koef_table(3, False)[FrameKind.CHAIN]
+    # the cached map is shared by every caller, so it is read-only
+    with pytest.raises(TypeError):
+        koef_table(3, False)[FrameKind.CHAIN] = None

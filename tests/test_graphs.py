@@ -11,7 +11,7 @@ from motifcensus import (EdgeListError, FrameKind, Graph,
                          induced_subgraph_codes, load_graph, loads_graph,
                          pair_slots, run_sampled_census)
 from motifcensus.frames import FrameSet
-from motifcensus.graphs import _lines, _mix, _PairTable
+from motifcensus.graphs import _blocks, _mix, _PairTable
 from oracles import (arcs, dumps_graph, induced_code, parse_edge_list,
                      random_graph, small_graphs)
 
@@ -223,7 +223,9 @@ LINE_TEXTS = st.lists(st.sampled_from(
 @given(LINE_TEXTS)
 def test_line_blocks_split_like_splitlines(text):
     for block in range(len(text) + 2):
-        assert list(_lines(text, block)) == text.splitlines()
+        lines = [line for piece in _blocks(text, 0, block)
+                 for line in piece.splitlines()]
+        assert lines == text.splitlines()
 
 
 def _assert_same_graph(g, h):
@@ -256,7 +258,7 @@ def test_loader_reads_past_a_block(monkeypatch):
 
     def no_lines(*args):
         raise AssertionError("read a line at a time")
-    monkeypatch.setattr("motifcensus.graphs._lines", no_lines)
+    monkeypatch.setattr("motifcensus.graphs._read_tokens", no_lines)
     _assert_same_graph(loads_graph(header + lf), g)
     # ids are made a slice of keys at a time; runs of equal values cross
     # the ends of slices that do not divide the key count
