@@ -36,14 +36,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "sampling.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, with_format=True):
+    def add_io(p):
         p.add_argument("--input", "-i", required=True,
                        help="edge-list file, one vertex pair per line")
         p.add_argument("--directed", action="store_true",
                        help="treat pairs as arcs")
-        if with_format:
-            p.add_argument("--format", choices=("json", "csv"),
-                           default="json", help="report format")
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="report format")
         p.add_argument("--output", "-o", default=None,
                        help="write the report here instead of stdout")
 
@@ -84,21 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_dict(args: argparse.Namespace) -> dict:
-    def get(name, default=None):
-        return getattr(args, name, default)
+# every option a report echoes, and the value it echoes for a command
+# that lacks the option
+_ECHOED = {"input": None, "directed": False, "size": None, "samples": None,
+           "target_cv": None, "seed": None, "format": "json", "output": None}
 
-    return {
-        "command": args.command,
-        "input": get("input"),
-        "directed": bool(get("directed", False)),
-        "size": get("size"),
-        "samples": get("samples"),
-        "target_cv": get("target_cv"),
-        "seed": get("seed"),
-        "format": get("format", "json"),
-        "output": get("output"),
-    }
+
+def _config_dict(args: argparse.Namespace) -> dict:
+    return {"command": args.command,
+            **{name: getattr(args, name, default)
+               for name, default in _ECHOED.items()}}
 
 
 def _emit(args: argparse.Namespace, payload: dict, header=(), rows=(),
@@ -107,7 +101,7 @@ def _emit(args: argparse.Namespace, payload: dict, header=(), rows=(),
     the payload; CSV holds the flattened config and the comments as sorted
     "# key=value" lines, then the header and rows."""
     config = _config_dict(args)
-    if getattr(args, "format", "json") == "json":
+    if config["format"] == "json":
         text = json.dumps({"config": config, **payload}, sort_keys=True,
                           indent=2) + "\n"
     else:

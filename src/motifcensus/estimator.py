@@ -183,12 +183,15 @@ def _chain_share(cv: np.ndarray, lam: np.ndarray, parts: np.ndarray,
 
 
 def _round_parts(share: float, remaining: dict, left: int) -> dict:
-    """Experiments of each size-4 kind in a round: 2 * CHUNK, or what is
-    left in all, with round(total * share) for chains.  A kind takes at
-    most what it has left, and the other kind takes up its shortfall.  At
-    share 0.5 the rounds of a budget add up to its even split, rounded
-    half to even."""
-    total = min(2 * CHUNK, left)
+    """Experiments of each drawing kind, the keys of remaining, in a round:
+    CHUNK per kind, or what is left in all.  One kind draws all of it.
+    Chains and tridents split it, with round(total * share) for chains; a
+    kind takes at most what it has left, and the other kind takes up its
+    shortfall.  At share 0.5 the rounds of a budget add up to its even
+    split, rounded half to even."""
+    total = min(CHUNK * len(remaining), left)
+    if len(remaining) == 1:
+        return dict.fromkeys(remaining, total)
     chain = min(round(total * share), remaining[FrameKind.CHAIN])
     trident = min(total - chain, remaining[FrameKind.TRIDENT])
     chain = min(total - trident, remaining[FrameKind.CHAIN])
@@ -200,16 +203,17 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
                        seed: int) -> CensusReport:
     """Sampled census of all connected motif classes of one size.
 
-    The run goes in rounds, each followed by the stop rule.  A round is
-    CHUNK (10,000) experiments per drawing kind, or what is left.  At size
-    4 it splits evenly, except from round 2 of a run with a target on:
-    there chains get the share _chain_share gives them, at least MIN_SHARE
-    (0.1) and at most 1 - MIN_SHARE, in proportion to how much each kind
-    cuts the squared CV of the class furthest from the target.  So, beyond
-    the mixing weight lam, the split too "minimizes the value of the
-    coefficient of variation", as the paper puts it.  The split depends
-    only on the tallies, so a seeded run still reproduces.  A kind draws
-    its part of a round, at most 2 * CHUNK frames, as one batch.
+    The run goes in rounds, each followed by the stop rule.  _round_parts
+    plans every round: CHUNK (10,000) experiments per drawing kind, or what
+    is left in all.  Two kinds split it evenly, except from round 2 of a
+    run with a target on: there chains get the share _chain_share gives
+    them, at least MIN_SHARE (0.1) and at most 1 - MIN_SHARE, in
+    proportion to how much each kind cuts the squared CV of the class
+    furthest from the target.  So, beyond the mixing weight lam, the split
+    too "minimizes the value of the coefficient of variation", as the
+    paper puts it.  The split depends only on the tallies, so a seeded run
+    still reproduces.  A kind draws its part of a round, at most 2 * CHUNK
+    frames, as one batch.
 
     Args:
         g: input graph.
@@ -272,7 +276,7 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
 
     # experiments left per kind, and in all; without a budget a kind stops
     # at its frame total, where an exact census costs no more.  Two kinds
-    # split each round by _round_parts, so a budget caps only the total
+    # split each round, so a budget caps only the total
     if budget is None:
         remaining = {k: totals.for_kind(k) for k in active}
     else:
@@ -287,11 +291,7 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     stop_reason = "budget"
     share = 0.5
     while left:
-        if len(active) == 2:
-            draws = _round_parts(share, remaining, left)
-        else:
-            draws = {active[0]: min(CHUNK, left)}
-        for kind, m in draws.items():
+        for kind, m in _round_parts(share, remaining, left).items():
             if not m:
                 continue
             remaining[kind] -= m

@@ -36,7 +36,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .canon import arrcode_table, pair_slots
+from .canon import _family, arrcode_table, pair_slots
 from .graphs import Graph, _pair_table
 
 # frames per vectorized unrank and classification: a chunk of the exact
@@ -67,13 +67,13 @@ class FrameKind(str, Enum):
         return ((1, 0), (1, 2), (2, 3))
 
 
+_SPANNING = {3: (FrameKind.FORK,), 4: (FrameKind.CHAIN, FrameKind.TRIDENT)}
+
+
 def kinds_for_size(size: int) -> tuple[FrameKind, ...]:
-    """Frame kinds that span motifs of the given size, in experiment order."""
-    if size == 3:
-        return (FrameKind.FORK,)
-    if size == 4:
-        return (FrameKind.CHAIN, FrameKind.TRIDENT)
-    raise ValueError(f"motif size must be 3 or 4, got {size}")
+    """Frame kinds that span motifs of the given size, in experiment order;
+    the size is checked as the class tables check it."""
+    return _SPANNING[_family(size, False)[0]]
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,7 @@ class FrameTotals:
                 FrameKind.CHAIN: self.n_chain}[kind]
 
     def to_dict(self) -> dict:
-        return {"fork": self.n_fork, "trident": self.n_trident,
-                "chain": self.n_chain}
+        return {kind.value: self.for_kind(kind) for kind in FrameKind}
 
 
 def frame_totals(g: Graph) -> FrameTotals:
@@ -394,8 +393,8 @@ def induced_subgraph_codes(g: Graph, vertices: np.ndarray, *,
 
 
 @lru_cache(maxsize=None, typed=True)
-def koef_table(size: int, directed: bool = False
-               ) -> MappingProxyType[FrameKind, np.ndarray]:
+def koef_table(size: int,
+               directed: bool) -> MappingProxyType[FrameKind, np.ndarray]:
     """Frames of each kind inside each class representative: a read-only
     map from each kind of kinds_for_size(size), in that order, to its
     read-only per-class counts.

@@ -325,11 +325,13 @@ def loads_graph(text: str, directed: bool = False) -> Graph:
     with '#' are skipped.  Labels may be arbitrary tokens, not only ints.
     Text of canonical decimal integers with "\n" ends, past a header of
     blank and '#' lines, is parsed by np.loadtxt; any other text, one line
-    at a time.  Both give the same graph; errors name the line.
+    at a time.  Both give the same graph; errors name the line.  One
+    leading byte-order mark is dropped, so it labels no vertex.
     """
     if not isinstance(text, str):
         raise TypeError(f"edge-list text must be str, got "
                         f"{type(text).__name__}: open the file in text mode")
+    text = text.removeprefix("\ufeff")
     return _build(*(_read_integers(text) or _read_tokens(text)), directed)
 
 

@@ -481,6 +481,17 @@ def test_round_parts_hands_a_shortfall_to_the_other_kind():
     assert all(type(m) is int for m in parts.values())
 
 
+def test_round_parts_gives_one_kind_the_whole_round():
+    fork, chain = FrameKind.FORK, FrameKind.CHAIN
+    assert estimator._round_parts(0.5, {fork: 10 ** 6}, 10 ** 6) == {
+        fork: 10_000}
+    assert estimator._round_parts(0.5, {fork: 4_003}, 4_003) == {
+        fork: 4_003}
+    # a size-4 graph with no tridents: the share does not apply
+    assert estimator._round_parts(0.9, {chain: 10 ** 6}, 10 ** 6) == {
+        chain: 10_000}
+
+
 def test_a_budget_with_a_target_caps_the_total():
     # the target is out of reach, so the run spends its odd budget: an
     # even first round of 2 * CHUNK, then 5,001 split by the tallies

@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +23,15 @@ def test_kind_sizes_and_order():
     assert FrameKind.CHAIN.size == 4
     with pytest.raises(ValueError):
         kinds_for_size(5)
+
+
+def test_kinds_for_size_refuses_what_the_tables_refuse():
+    for size in (4.0, 3.0, True, "4"):
+        with pytest.raises(ValueError) as tables:
+            arrcode_table(size, False)
+        with pytest.raises(ValueError, match=re.escape(str(tables.value))):
+            kinds_for_size(size)
+    assert kinds_for_size(np.int8(3)) == (FrameKind.FORK,)
 
 
 def test_totals_on_small_graphs(k3, k4, path3):

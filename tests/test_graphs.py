@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motifcensus import (EdgeListError, FrameKind, Graph,
+from motifcensus import (EdgeListError, FrameKind, Graph, exact_census,
                          induced_subgraph_codes, load_graph, loads_graph,
                          pair_slots, run_sampled_census)
 from motifcensus.frames import FrameSet
@@ -277,6 +277,23 @@ def test_binary_input_is_refused():
         loads_graph(b"1 2\n")
     with pytest.raises(TypeError, match="open the file in text mode"):
         load_graph(io.BytesIO(b"1 2\n"))
+
+
+def test_a_leading_byte_order_mark_labels_no_vertex(tmp_path, monkeypatch):
+    # a UTF-8 byte-order mark, then a triangle of integer labels
+    path = tmp_path / "bom.txt"
+    path.write_bytes("\ufeff1 2\n2 3\n3 1\n".encode("utf-8"))
+
+    def no_lines(text):
+        raise AssertionError("read a line at a time")
+    monkeypatch.setattr("motifcensus.graphs._read_tokens", no_lines)
+    with open(path, encoding="utf-8") as fh:
+        graphs = [load_graph(path), load_graph(fh),
+                  loads_graph(path.read_text(encoding="utf-8"))]
+    for g in graphs:
+        assert g.labels == ("1", "2", "3")
+        # no open path, one triangle
+        assert exact_census(g, 3).counts == {2: 0, 3: 1}
 
 
 def test_from_edges_keeps_isolated_vertices():
