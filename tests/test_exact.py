@@ -169,9 +169,9 @@ def _count_classify_calls(monkeypatch):
     calls = []
     real = exact.induced_subgraph_codes
 
-    def counted(g, verts, *, kind, half_edges=None):
+    def counted(g, verts, *, kind, arcs=None):
         calls.append((kind, verts.shape[1]))
-        return real(g, verts, kind=kind, half_edges=half_edges)
+        return real(g, verts, kind=kind, arcs=arcs)
     monkeypatch.setattr(exact, "induced_subgraph_codes", counted)
     return calls
 
@@ -211,7 +211,7 @@ def test_inconsistent_hits_raise(monkeypatch):
     g = random_graph(rng, 9, 0.5, False)
     kinds = []
 
-    def clique(g, v, *, kind, half_edges=None):
+    def clique(g, v, *, kind, arcs=None):
         kinds.append(kind)
         return np.full(v.shape[1], 0b111111)
     monkeypatch.setattr(exact, "induced_subgraph_codes", clique)
@@ -228,11 +228,11 @@ def test_traced_classification_sees_every_frame(monkeypatch):
     classified = dict.fromkeys(ALL_KINDS, 0)
     real_codes = exact.induced_subgraph_codes
 
-    def codes(graph, vertices, *, kind, half_edges=None):
+    def codes(graph, vertices, *, kind, arcs=None):
         assert are_open_frames(graph, kind, vertices)
-        assert (half_edges is not None) == graph.directed
+        assert (arcs is not None) == graph.directed
         classified[kind] += vertices.shape[1]
-        return real_codes(graph, vertices, kind=kind, half_edges=half_edges)
+        return real_codes(graph, vertices, kind=kind, arcs=arcs)
     monkeypatch.setattr(exact, "induced_subgraph_codes", codes)
     totals = frame_totals(g)
     exact_census(g, 3)
@@ -339,10 +339,10 @@ def test_a_failing_walk_leaves_no_child(monkeypatch, where):
     parent = os.getpid()
     real = exact.induced_subgraph_codes
 
-    def codes(graph, verts, *, kind, half_edges=None):
+    def codes(graph, verts, *, kind, arcs=None):
         if (os.getpid() == parent) == (where == "parent"):
             raise KeyError("classifier fails")
-        return real(graph, verts, kind=kind, half_edges=half_edges)
+        return real(graph, verts, kind=kind, arcs=arcs)
     monkeypatch.setattr(exact, "induced_subgraph_codes", codes)
     # the helper's failure reaches the parent as its exit status
     error = RuntimeError if where == "helper" else KeyError

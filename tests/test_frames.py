@@ -7,11 +7,11 @@ import pytest
 from scipy import stats
 
 from motifcensus import (FrameKind, Graph, arrcode_table, frame_sampler,
-                         frame_totals, koef_table, loads_graph,
-                         kinds_for_size, pair_slots)
+                         frame_totals, induced_subgraph_codes, koef_table,
+                         loads_graph, kinds_for_size, pair_slots)
 from motifcensus.frames import FrameSet, _choose2, _choose3, _colex_triple
-from oracles import (frame_keys, frames_brute, neighbor_sets, random_graph,
-                     spanning_path_count)
+from oracles import (arcs, frame_keys, frames_brute, induced_code,
+                     neighbor_sets, random_graph, spanning_path_count)
 
 ALL_KINDS = (FrameKind.FORK, FrameKind.TRIDENT, FrameKind.CHAIN)
 
@@ -198,24 +198,96 @@ def test_a_draw_unranks_uniform_ranks(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_half_edges_name_the_tree_pairs(kind):
-    # on a directed graph, tree pair (r, c) of every frame is the half-edge
-    # that sits in r's CSR row and holds c; open_frames keeps the columns
-    # of both arrays together
-    for directed in (False, True):
-        g = random_graph(np.random.default_rng(37), 14, 0.4, directed)
-        frames = FrameSet(g, kind)
-        batch = frames.unrank(np.arange(frames.total, dtype=np.int64))
-        verts, half = batch.open_frames
-        if not directed:
-            assert batch.half_edges is None and half is None
-            continue
-        assert batch.half_edges.shape == (len(kind.tree_pairs), batch.size)
-        assert half.shape == (len(kind.tree_pairs), verts.shape[1])
-        for t, (r, c) in enumerate(kind.tree_pairs):
-            assert np.array_equal(g.adj_flat[half[t]], verts[c])
-            assert (g.adj_offsets[verts[r]] <= half[t]).all()
-            assert (half[t] < g.adj_offsets[verts[r] + 1]).all()
+def test_frames_bring_their_tree_pairs_arcs(kind):
+    # on a directed graph, row t of a batch's arcs holds tree pair (r, c)'s
+    # arc r -> c in bit 0 and c -> r in bit 1, as the oracle's arc list has
+    # them, degenerate chains too; open_frames keeps the columns of both
+    # arrays together.  Undirected frames bring none
+    for seed in (37, 38, 39):
+        for directed in (False, True):
+            g = random_graph(np.random.default_rng(seed), 14, 0.4, directed)
+            frames = FrameSet(g, kind)
+            batch = frames.unrank(np.arange(frames.total, dtype=np.int64))
+            verts, tree_arcs = batch.open_frames
+            if not directed:
+                assert batch.arcs is None and tree_arcs is None
+                continue
+            present = set(map(tuple, arcs(g).tolist()))
+            assert batch.arcs.dtype == np.int8
+            assert batch.arcs.shape == (len(kind.tree_pairs), batch.size)
+            for t, (r, c) in enumerate(kind.tree_pairs):
+                assert batch.arcs[t].tolist() == [
+                    ((a, b) in present) | ((b, a) in present) << 1
+                    for a, b in zip(batch.vertices[r].tolist(),
+                                    batch.vertices[c].tolist())]
+            keep = ~batch.degenerate
+            assert np.array_equal(verts, batch.vertices[:, keep])
+            assert np.array_equal(tree_arcs, batch.arcs[:, keep])
+
+
+def _directed_fork():
+    # the directed path 0 -> 1 -> 2 holds one fork, (0, 1, 2), centred on 1
+    g = Graph.from_edges(3, [(0, 1), (1, 2)], directed=True)
+    verts, tree_arcs = FrameSet(g, FrameKind.FORK).unrank(
+        np.arange(1, dtype=np.int64)).open_frames
+    return g, verts, tree_arcs
+
+
+def test_codes_need_the_kind():
+    # the classifier takes frames only: without their kind, with or
+    # without arcs, the call is refused
+    g, verts, tree_arcs = _directed_fork()
+    # tree pair (1, 0) holds the arc 0 -> 1, its bit 1; (1, 2) the arc
+    # 1 -> 2, its bit 0
+    assert tree_arcs.tolist() == [[2], [1]]
+    assert induced_subgraph_codes(g, verts, kind="fork",
+                                  arcs=tree_arcs).tolist() == \
+        [induced_code(g, verts[:, 0])]
+    for given in (tree_arcs, None):
+        with pytest.raises(TypeError, match="'kind'"):
+            induced_subgraph_codes(g, verts, arcs=given)
+
+
+def test_arcs_are_read_as_they_are():
+    # every pattern of two arcs on each tree pair of the fork (0, 1, 2):
+    # pair (1, 0) fills slots 2 (1 -> 0) and 0 (0 -> 1), pair (1, 2) slots
+    # 3 (1 -> 2) and 5 (2 -> 1); the closing pair (0, 2) holds no arc
+    g, verts, _ = _directed_fork()
+    assert pair_slots(3, True) == ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0),
+                                   (2, 1))
+    for x in range(4):
+        for y in range(4):
+            code = induced_subgraph_codes(
+                g, verts, kind=FrameKind.FORK,
+                arcs=np.array([[x], [y]], dtype=np.int8))
+            assert code.tolist() == [(x & 1) << 2 | (x >> 1) | (y & 1) << 3
+                                     | (y >> 1) << 5]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2,), (3, 1)])
+def test_arcs_must_have_a_row_per_tree_pair(shape):
+    g, verts, _ = _directed_fork()
+    with pytest.raises(ValueError,
+                       match=r"fork arcs must have shape \(2, 1\)"):
+        induced_subgraph_codes(g, verts, kind=FrameKind.FORK,
+                               arcs=np.zeros(shape, dtype=np.int8))
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_arcs_must_be_from_0_to_3(bad, dtype):
+    g, verts, _ = _directed_fork()
+    with pytest.raises(ValueError, match=r"arcs must be in 0 \.\. 3"):
+        induced_subgraph_codes(g, verts, kind=FrameKind.FORK,
+                               arcs=np.array([[2], [bad]], dtype=dtype))
+
+
+def test_arcs_must_be_integers():
+    g, verts, tree_arcs = _directed_fork()
+    for given in (tree_arcs.astype(float), tree_arcs.astype(bool)):
+        with pytest.raises(ValueError, match="arcs must be integers"):
+            induced_subgraph_codes(g, verts, kind=FrameKind.FORK,
+                                   arcs=given)
 
 
 def test_sampling_is_deterministic(k4):

@@ -98,12 +98,18 @@ def test_adjacency_rows_sorted():
         assert len(row) == g.degrees[v]
 
 
-def test_edge_positions_point_back():
+def test_edge_bits_hold_each_edges_arcs():
+    # bit 0: the arc edge_u -> edge_v, bit 1: the arc back; self-loops,
+    # duplicates and reciprocal pairs among the drawn pairs
     rng = np.random.default_rng(12)
-    g = random_graph(rng, 25, 0.3, directed=False)
-    for e in range(g.n_edges):
-        u, v = int(g.edge_u[e]), int(g.edge_v[e])
-        assert int(_row(g, u)[g.edge_pos_in_u[e]]) == v
+    pairs = [tuple(p) for p in rng.integers(0, 25, size=(150, 2)).tolist()]
+    g = Graph.from_edges(25, pairs, directed=True)
+    assert g.edge_bits.dtype == np.int8
+    assert g.edge_bits.tolist() == [
+        ((u, v) in pairs) | ((v, u) in pairs) << 1
+        for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist())]
+    assert set(g.edge_bits.tolist()) == {1, 2, 3}
+    assert Graph.from_edges(25, pairs).edge_bits is None
 
 
 def _label_pairs(g):
@@ -204,8 +210,12 @@ def test_loader_matches_the_reference_parser(text):
                 (w in want["pairs"][v]) | (v in want["pairs"][w]) << 1
                 if directed else 3 for w in sorted(neighbors[v])]
         assert g.degrees.tolist() == [len(s) for s in neighbors]
-        for e, (u, v) in enumerate(edges):
-            assert _row(g, u)[g.edge_pos_in_u[e]] == v
+        if directed:
+            assert g.edge_bits.tolist() == [
+                (v in want["pairs"][u]) | (u in want["pairs"][v]) << 1
+                for u, v in edges]
+        else:
+            assert g.edge_bits is None
         assert g.load_report.to_dict() == {
             "n_vertices": n, "n_edges": len(edges),
             "n_arcs": len(pairs) if directed else None,
@@ -232,7 +242,7 @@ def _assert_same_graph(g, h):
     assert g.labels == h.labels
     assert g.load_report == h.load_report
     for name in ("degrees", "adj_offsets", "adj_flat", "adj_bits", "edge_u",
-                 "edge_v", "edge_pos_in_u"):
+                 "edge_v", "edge_bits"):
         assert np.array_equal(getattr(g, name), getattr(h, name)), name
 
 
@@ -364,32 +374,31 @@ def test_induced_code_examples(k3, path3):
 def test_induced_code_directed(ffl):
     # arcs 0->1, 0->2, 1->2 against slots (01,02,10,12,20,21); the fork
     # (0, 1, 2), centred on 1, is rank 1 (center 0's fork comes first)
-    verts, half = FrameSet(ffl, FrameKind.FORK).unrank(
+    verts, tree_arcs = FrameSet(ffl, FrameKind.FORK).unrank(
         np.array([1])).open_frames
     assert verts[:, 0].tolist() == [0, 1, 2]
     assert induced_subgraph_codes(ffl, verts, kind="fork",
-                                  half_edges=half).tolist() == [0b001011]
+                                  arcs=tree_arcs).tolist() == [0b001011]
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(small_graphs())
 def test_frame_codes_match_the_oracle(g):
     # a frame's tree pairs are not looked up: their bits are known on an
-    # undirected graph, and read through the frame's half-edges on a
-    # directed one; the codes must still be those of the oracle, which
-    # looks up every pair
+    # undirected graph, and come with the frame on a directed one; the
+    # codes must still be those of the oracle, which looks up every pair
     for kind in (FrameKind.FORK, FrameKind.CHAIN, FrameKind.TRIDENT):
         frames = FrameSet(g, kind)
-        verts, half = frames.unrank(
+        verts, tree_arcs = frames.unrank(
             np.arange(frames.total, dtype=np.int64)).open_frames
-        assert (half is not None) == g.directed
-        codes = induced_subgraph_codes(g, verts, kind=kind, half_edges=half)
+        assert (tree_arcs is not None) == g.directed
+        codes = induced_subgraph_codes(g, verts, kind=kind, arcs=tree_arcs)
         assert codes.tolist() == [induced_code(g, col) for col in verts.T]
         if verts.shape[1]:
-            one = None if half is None else half[:, :1]
+            one = None if tree_arcs is None else tree_arcs[:, :1]
             assert induced_subgraph_codes(
                 g, verts[:, :1], kind=kind,
-                half_edges=one).tolist() == codes[:1].tolist()
+                arcs=one).tolist() == codes[:1].tolist()
 
 
 @pytest.mark.parametrize("kind,closing",
@@ -398,8 +407,8 @@ def test_frame_codes_match_the_oracle(g):
 def test_directed_frames_look_up_only_their_closing_pairs(
         monkeypatch, kind, closing):
     # keys sent to the pair table per frame: the closing pairs only, since
-    # the tree pairs' arcs come from the half-edges; a directed frame
-    # without its half-edges is refused
+    # the tree pairs' arcs come with the frames; a directed frame without
+    # its arcs is refused
     g = random_graph(np.random.default_rng(23), 16, 0.4, directed=True)
     sent = []
     real = _PairTable.lookup
@@ -409,14 +418,13 @@ def test_directed_frames_look_up_only_their_closing_pairs(
         return real(table, keys)
     monkeypatch.setattr(_PairTable, "lookup", lookup)
     frames = FrameSet(g, kind)
-    verts, half = frames.unrank(
+    verts, tree_arcs = frames.unrank(
         np.arange(frames.total, dtype=np.int64)).open_frames
     frames_in = verts.shape[1]
     assert frames_in > 0
-    induced_subgraph_codes(g, verts, kind=kind, half_edges=half)
+    induced_subgraph_codes(g, verts, kind=kind, arcs=tree_arcs)
     assert sum(sent) == closing * frames_in
-    with pytest.raises(ValueError,
-                       match="directed frames need their half_edges"):
+    with pytest.raises(ValueError, match="directed frames need their arcs"):
         induced_subgraph_codes(g, verts, kind=kind)
 
 
@@ -458,47 +466,6 @@ def test_codes_take_a_kind_by_name(path3):
         [0b101]
     with pytest.raises(ValueError, match="'spoon' is not a valid FrameKind"):
         induced_subgraph_codes(path3, verts, kind="spoon")
-
-
-def _directed_forks():
-    # the directed path 0 -> 1 -> 2 holds one fork, (0, 1, 2), centred on 1
-    g = Graph.from_edges(3, [(0, 1), (1, 2)], directed=True)
-    verts, half = FrameSet(g, FrameKind.FORK).unrank(
-        np.arange(1, dtype=np.int64)).open_frames
-    return g, verts, half
-
-
-def test_half_edges_need_the_kind():
-    # the classifier takes frames only: without their kind, with or
-    # without half-edges, the call is refused
-    g, verts, half = _directed_forks()
-    assert induced_subgraph_codes(g, verts, kind="fork",
-                                  half_edges=half).tolist() == \
-        [induced_code(g, verts[:, 0])]
-    for half_edges in (half, None):
-        with pytest.raises(TypeError, match="'kind'"):
-            induced_subgraph_codes(g, verts, half_edges=half_edges)
-
-
-@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2,), (3, 1)])
-def test_half_edges_must_have_a_row_per_tree_pair(shape):
-    g, verts, _ = _directed_forks()
-    with pytest.raises(ValueError, match=r"must have shape \(2, 1\)"):
-        induced_subgraph_codes(g, verts, kind=FrameKind.FORK,
-                               half_edges=np.zeros(shape, dtype=np.int64))
-
-
-@pytest.mark.parametrize("bad", [4, -1, -4])
-def test_half_edges_must_lie_in_the_adjacency(bad):
-    # 4 half-edges; -1 would wrap to the last of them
-    g, verts, half = _directed_forks()
-    assert g.adj_flat.size == 4
-    with pytest.raises(ValueError, match=r"half-edges must be in 0 \.\. 3"):
-        induced_subgraph_codes(g, verts, kind=FrameKind.FORK,
-                               half_edges=np.array([[half[0, 0]], [bad]]))
-    with pytest.raises(ValueError, match="half-edges must be integers"):
-        induced_subgraph_codes(g, verts, kind=FrameKind.FORK,
-                               half_edges=half.astype(float))
 
 
 def test_pair_table_spills_past_its_last_home_slot():
