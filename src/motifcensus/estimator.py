@@ -29,6 +29,15 @@ get their part of the two cuts of the next round, held within
 their seeded reports stay as they were: there the rule would cost an
 estimate pass a round, and its binding class, with a handful of
 detections, is mostly noise.
+
+A run without a target knows its whole plan before it starts, so it may
+be shared with a forked helper, as the exact walk is (see
+frames._tally_in_two): its batches, in round order, are the items the
+two processes claim one at a time.  Each process draws every batch's
+ranks from the streams it had at the fork, classifies the batches it
+claimed and drops the ranks of the others, so its streams stay where
+one process would leave them.  A target run stays in one process, since
+each round's split depends on the tallies of the last.
 """
 
 from __future__ import annotations
@@ -44,8 +53,8 @@ import numpy as np
 
 from .canon import arrcode_table
 from .frames import (_INT64_MAX, CHUNK, FrameKind, FrameTotals,
-                     frame_sampler, frame_totals, induced_subgraph_codes,
-                     kinds_for_size, koef_table)
+                     _tally_in_two, frame_sampler, frame_totals,
+                     induced_subgraph_codes, kinds_for_size, koef_table)
 from .graphs import Graph, _pair_table
 
 # classes detected fewer times than this are not held to the CV target
@@ -198,6 +207,16 @@ def _round_parts(share: float, remaining: dict, left: int) -> dict:
     return {FrameKind.CHAIN: chain, FrameKind.TRIDENT: trident}
 
 
+def _integer(value) -> int | None:
+    """value as an int, if it is an integer other than a bool."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def run_sampled_census(g: Graph, size: int, budget: int | None = None,
                        target_cv: float | None = None, *,
                        seed: int) -> CensusReport:
@@ -213,7 +232,9 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     too "minimizes the value of the coefficient of variation", as the
     paper puts it.  The split depends only on the tallies, so a seeded run
     still reproduces.  A kind draws its part of a round, at most 2 * CHUNK
-    frames, as one batch.
+    frames, as one batch.  A run without a target and with a budget of
+    at least frames._SPLIT_FROM may classify its batches in two
+    processes; its report is the same as in one.
 
     Args:
         g: input graph.
@@ -238,18 +259,19 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     # the table checks the size: 3 or 4, and a numpy integer becomes an int
     table = arrcode_table(size, g.directed)
     size = table.size
-    # numpy integers become ints, which JSON takes; a budget of 2.0 is refused
-    try:
-        seed = operator.index(seed)
-        budget = budget if budget is None else operator.index(budget)
-    except TypeError:
-        pass  # refused below
-    if not isinstance(seed, int) or seed < 0:
+    # numpy integers become ints, which JSON takes; a budget of 2.0 is
+    # refused, and so is a bool, which operator.index takes for 0 or 1
+    index = _integer(seed)
+    if index is None or index < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    seed = index
     if budget is None and target_cv is None:
         raise ValueError("need a sample budget or a target CV")
-    if budget is not None and not isinstance(budget, int):
-        raise ValueError(f"budget must be an integer, got {budget!r}")
+    if budget is not None:
+        index = _integer(budget)
+        if index is None:
+            raise ValueError(f"budget must be an integer, got {budget!r}")
+        budget = index
     if budget is not None and not 0 <= budget <= _INT64_MAX:
         raise ValueError("budget must be between 0 and 2**63 - 1")
     if target_cv is not None:
@@ -270,9 +292,8 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     # the pair table's build sets the census's peak memory: build it
     # before the first draw, so no batch is alive meanwhile
     _pair_table(g)
-    # the tally: experiments and per-class detections, per kind
+    # experiments per kind; hits, their per-class detections, come below
     n = dict.fromkeys(kinds, 0)
-    hits = {k: np.zeros(table.n_classes, dtype=np.int64) for k in kinds}
 
     # experiments left per kind, and in all; without a budget a kind stops
     # at its frame total, where an exact census costs no more.  Two kinds
@@ -288,23 +309,53 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
     # by size so streams do not shift when a kind is inactive
     rngs = {k: np.random.default_rng(np.random.SeedSequence(
         seed, spawn_key=(0, kinds.index(k)))) for k in active}
-    stop_reason = "budget"
-    share = 0.5
-    while left:
+
+    def tally(kind, m):
+        """Per-class detections of the next m frames of kind's stream."""
+        verts, arcs = samplers[kind].sample_batch(rngs[kind], m).open_frames
+        codes = induced_subgraph_codes(g, verts, kind=kind, arcs=arcs)
+        # no name keeps a batch's frames alive into the next draw
+        del verts, arcs
+        return np.bincount(table.entries[codes], minlength=table.n_classes)
+
+    def batches(share):
+        """A round's batches, (kind, experiments), booked as planned."""
+        nonlocal left
         for kind, m in _round_parts(share, remaining, left).items():
-            if not m:
-                continue
-            remaining[kind] -= m
-            left -= m
-            n[kind] += m
-            verts, arcs = samplers[kind].sample_batch(
-                rngs[kind], m).open_frames
-            codes = induced_subgraph_codes(g, verts, kind=kind, arcs=arcs)
-            # no name keeps a batch's frames alive into the next draw
-            del verts, arcs
-            hits[kind] += np.bincount(table.entries[codes],
-                                      minlength=table.n_classes)
-        if target_cv is not None:
+            if m:
+                remaining[kind] -= m
+                left -= m
+                n[kind] += m
+                yield kind, m
+
+    def even_rounds():
+        """Every batch of a run without a target, booked as planned."""
+        while left:
+            yield from batches(0.5)
+
+    stop_reason = "budget"
+    if target_cv is None:
+        def work(claims):
+            """Detections of the batches claimed, a row per kind.  The
+            ranks of a batch left to the other process are drawn and
+            dropped, so each stream stays where one process leaves it."""
+            out = np.zeros((len(kinds), table.n_classes), dtype=np.int64)
+            mine = next(claims)
+            for item, (kind, m) in enumerate(even_rounds()):
+                if item == mine:
+                    out[kinds.index(kind)] += tally(kind, m)
+                    mine = next(claims)
+                else:
+                    samplers[kind].draw_ranks(rngs[kind], m)
+            return out
+        hits = dict(zip(kinds, _tally_in_two(
+            work, (len(kinds), table.n_classes), budget)))
+    else:
+        hits = {k: np.zeros(table.n_classes, dtype=np.int64) for k in kinds}
+        share = 0.5
+        while left:
+            for kind, m in batches(share):
+                hits[kind] += tally(kind, m)
             _, _, cv, lam, kind_parts, kind_var = _build_estimates(
                 koefs, totals, n, hits)
             if _target_met(cv, hits, target_cv):

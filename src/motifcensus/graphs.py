@@ -105,11 +105,8 @@ class Graph:
         undirected graphs (u, v) and (v, u) are the same pair.  Vertex ids
         must be integers, n_vertices at most 2**30, and directed a bool.
         """
-        # a tagged half-edge key, (n * n - 1) << 2, must fit in int64
-        if (not isinstance(n_vertices, (int, np.integer))
-                or not 0 <= n_vertices <= 1 << 30):
-            raise ValueError(f"vertex count must be an integer from 0 to "
-                             f"2**30, got {n_vertices!r}")
+        # checked here too, before one label per vertex is built
+        _check_vertex_count(n_vertices)
         try:
             arr = np.asarray(list(pairs) or np.empty((0, 2), dtype=np.int64))
         except ValueError:   # ragged pairs
@@ -128,12 +125,24 @@ class Graph:
         return int(self.edge_u.size)
 
 
+def _check_vertex_count(n) -> None:
+    """Refuse a vertex count that is not an integer from 0 to 2**30: a
+    tagged half-edge key, (n * n - 1) << 2, must fit in int64.  A bool is
+    not a count."""
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or not 0 <= n <= 1 << 30):
+        raise ValueError(f"vertex count must be an integer from 0 to 2**30, "
+                         f"got {n!r}")
+
+
 def _build(arr: np.ndarray, labels: tuple, directed: bool) -> Graph:
     # any other value would pick a branch by its truth and reach the reports
     if not isinstance(directed, (bool, np.bool_)):
         raise TypeError(f"directed must be a bool, got {directed!r}")
     directed = bool(directed)
     n = len(labels)
+    # before any array of n entries is made
+    _check_vertex_count(n)
     loops = arr[:, 0] == arr[:, 1]
     u, v = arr[~loops].T
     out, into = (1, 2) if directed else (3, 3)
@@ -362,7 +371,7 @@ class _PairTable:
     """Linear-probing hash set of edge keys, each holding 2 direction bits.
 
     An entry is key << 2 | bits; a key is below n * n, and n is at most
-    2**30 (Graph.from_edges checks it), so an entry fits in int64.  Empty
+    2**30 (_build checks it), so an entry fits in int64.  Empty
     slots hold -1.  Entries are placed in order of their home slot, so no
     run wraps: it may spill into a tail past the last home slot, as long
     as the farthest any entry sits from its home (reach).  A lookup reads

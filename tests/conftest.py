@@ -1,8 +1,9 @@
+import os
 import pathlib
 
 import pytest
 
-from motifcensus import Graph, load_graph
+from motifcensus import Graph, frames, load_graph
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -46,3 +47,35 @@ def path3() -> Graph:
 def ffl() -> Graph:
     # feed-forward triangle: 0->1, 0->2, 1->2
     return load_graph(data_path("ffl.txt"), directed=True)
+
+
+# -- censuses shared with a forked helper ----------------------------------
+
+
+def force_split(mp) -> None:
+    """Every census with a frame is shared with a forked helper, whatever
+    the host's CPUs."""
+    mp.setattr(frames, "_SPLIT_FROM", 1)
+    mp.setattr(frames.os, "sched_getaffinity", lambda pid: {0, 1},
+               raising=False)
+
+
+def count_forks(mp) -> list:
+    """The pid of the process that forked, once per fork."""
+    forks = []
+    real = frames.os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+    mp.setattr(frames.os, "fork", fork)
+    return forks
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds() -> list:
+    return sorted(os.listdir("/proc/self/fd"))

@@ -1,6 +1,9 @@
+import hashlib
 import inspect
 import json
 import math
+import os
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import motifcensus
+from conftest import (assert_no_child_left, count_forks, force_split,
+                      open_fds)
 from motifcensus import (FrameKind, FrameTotals, Graph, arrcode_table,
                          estimator, exact_census, frame_sampler, frame_totals,
-                         kinds_for_size, koef_table, loads_graph,
+                         frames, kinds_for_size, koef_table, loads_graph,
                          optimal_lambda, run_sampled_census)
 from motifcensus.frames import CHUNK
 from oracles import (are_open_frames, estimate_rows, random_graph,
@@ -293,6 +298,17 @@ def test_run_takes_numpy_integers_and_refuses_floats(k4):
     for budget in (2.0, 20_000.0, np.float64(3000), "3000"):
         with pytest.raises(ValueError, match="^budget must be an integer, "):
             run_sampled_census(k4, 4, budget=budget, seed=1)
+
+
+def test_run_refuses_bools(k4):
+    # operator.index takes True for 1: it ran with budget 1 and seed 1
+    for value in (True, False):
+        with pytest.raises(ValueError, match=f"^budget must be an integer, "
+                           f"got {value}$"):
+            run_sampled_census(k4, 3, budget=value, seed=1)
+        with pytest.raises(ValueError, match=f"^seed must be a nonnegative "
+                           f"integer, got {value}$"):
+            run_sampled_census(k4, 3, budget=10, seed=value)
 
 
 def test_census_size_must_be_the_integer_3_or_4(k4):
@@ -802,3 +818,111 @@ def test_seeded_target_run_draws_each_kind_once_a_round(monkeypatch):
         assert len(parts) == rounds and sum(parts) == spent[kind.value]
         assert classified.count(kind) == rounds
     assert max(draws[FrameKind.CHAIN]) == 18_000 > CHUNK
+
+
+# -- a budget-only census shared with a forked helper ----------------------
+
+
+def _report(g, size, **options):
+    out = run_sampled_census(g, size, **options).to_dict()
+    del out["elapsed"]
+    return out
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_split_budget_reports_equal_one_process(monkeypatch, directed):
+    g = random_graph(np.random.default_rng(64), 40, 0.2, directed)
+    runs = [(size, budget) for size in (3, 4) for budget in (40_001, 25_001)]
+    want = [_report(g, size, budget=budget, seed=7) for size, budget in runs]
+    force_split(monkeypatch)
+    forks = count_forks(monkeypatch)
+    assert [_report(g, size, budget=budget, seed=7)
+            for size, budget in runs] == want
+    # one helper per census, forked by this process
+    assert forks == [os.getpid()] * len(runs)
+    assert_no_child_left()
+
+
+def _log_batches(monkeypatch, log):
+    """Record each classified batch, by process: its kind, width and a
+    digest of its frames."""
+    real = estimator.induced_subgraph_codes
+
+    def codes(graph, verts, *, kind, arcs=None):
+        digest = hashlib.sha256(np.ascontiguousarray(verts)).hexdigest()
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {kind.value} {verts.shape[1]} "
+                     f"{digest}\n")
+        return real(graph, verts, kind=kind, arcs=arcs)
+    monkeypatch.setattr(estimator, "induced_subgraph_codes", codes)
+
+
+def test_split_classifies_every_batch_once(monkeypatch, tmp_path):
+    # the two processes classify, between them, the batches one process
+    # would, each once: each process draws every batch in stream order,
+    # so a batch it leaves to the other does not shift its streams.  The
+    # parent classifies the first, claimed before the fork
+    g = random_graph(np.random.default_rng(65), 40, 0.2, directed=True)
+    with monkeypatch.context() as mp:
+        _log_batches(mp, tmp_path / "one")
+        run_sampled_census(g, 4, budget=60_001, seed=8)
+    force_split(monkeypatch)
+    _log_batches(monkeypatch, tmp_path / "two")
+    run_sampled_census(g, 4, budget=60_001, seed=8)
+    assert_no_child_left()
+    one = [line.split() for line in (tmp_path / "one").read_text()
+           .splitlines()]
+    two = [line.split() for line in (tmp_path / "two").read_text()
+           .splitlines()]
+    assert len(one) == 7
+    assert sorted(b[1:] for b in two) == sorted(b[1:] for b in one)
+    assert [str(os.getpid()), *one[0][1:]] in two
+
+
+def test_a_target_run_never_forks(monkeypatch):
+    g = random_graph(np.random.default_rng(66), 40, 0.2, directed=False)
+    want = [_report(g, 4, budget=100_000, target_cv=0.05, seed=9),
+            _report(g, 4, target_cv=0.2, seed=9)]
+    force_split(monkeypatch)
+
+    def fork():
+        raise AssertionError("forked")
+    monkeypatch.setattr(frames.os, "fork", fork)
+    assert [_report(g, 4, budget=100_000, target_cv=0.05, seed=9),
+            _report(g, 4, target_cv=0.2, seed=9)] == want
+    assert want[0]["experiments"]["chain"]["n_experiments"] > CHUNK
+
+
+@pytest.mark.parametrize("where", ["helper", "parent", "fork"])
+def test_a_failing_split_census_leaves_no_child(monkeypatch, where):
+    # a classifier that fails in either process, or a fork that fails,
+    # leaves no child and no open descriptor; with no fork, this process
+    # draws every batch
+    g = random_graph(np.random.default_rng(67), 30, 0.3, directed=False)
+    want = _report(g, 4, budget=50_000, seed=10)
+    force_split(monkeypatch)
+    parent = os.getpid()
+    real = estimator.induced_subgraph_codes
+
+    def codes(graph, verts, *, kind, arcs=None):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise KeyError("classifier fails")
+        if os.getpid() == parent:
+            time.sleep(0.1)   # so that the helper claims a batch
+        return real(graph, verts, kind=kind, arcs=arcs)
+    if where == "fork":
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(frames.os, "fork", fork)
+    else:
+        monkeypatch.setattr(estimator, "induced_subgraph_codes", codes)
+    fds = open_fds()
+    if where == "fork":
+        assert _report(g, 4, budget=50_000, seed=10) == want
+    else:
+        # the helper's failure reaches the parent as its exit status
+        error = RuntimeError if where == "helper" else KeyError
+        with pytest.raises(error):
+            run_sampled_census(g, 4, budget=50_000, seed=10)
+    assert_no_child_left()
+    assert open_fds() == fds

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -10,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 
 import motifcensus
+from conftest import (assert_no_child_left, count_forks, force_split,
+                      open_fds)
 from motifcensus import (FrameKind, Graph, arrcode_table, exact,
-                         exact_census, frame_totals, koef_table, loads_graph)
+                         exact_census, frame_totals, frames, koef_table,
+                         loads_graph)
 from motifcensus.frames import CHUNK, FrameSet
 from oracles import (are_open_frames, brute_force_census,
                      common_neighbor_pairs, frame_keys, frames_brute,
@@ -260,29 +264,10 @@ def test_disconnected_components_do_not_mix():
 
 
 def _force_split(mp, chunk=None):
-    # every kind with a frame is split, whatever the host's CPUs; a small
-    # chunk gives both halves several chunks on small graphs
-    mp.setattr(exact, "_SPLIT_FROM", 1)
-    mp.setattr(exact.os, "sched_getaffinity", lambda pid: {0, 1},
-               raising=False)
+    # a small chunk gives both processes several chunks on small graphs
+    force_split(mp)
     if chunk is not None:
         mp.setattr(exact, "CHUNK", chunk)
-
-
-def _count_forks(monkeypatch):
-    forks = []
-    real = exact.os.fork
-
-    def fork():
-        forks.append(exact.os.getpid())
-        return real()
-    monkeypatch.setattr(exact.os, "fork", fork)
-    return forks
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -294,31 +279,40 @@ def test_split_counts_equal_one_process(monkeypatch, directed):
     want = [[exact_census(g, size).counts for size in (3, 4)]
             for g in graphs]
     _force_split(monkeypatch, chunk=7)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     got = [[exact_census(g, size).counts for size in (3, 4)]
            for g in graphs]
     assert got == want
     # one helper per kind: forks at size 3, chains and tridents at size 4
     assert len(forks) == 3 * len(graphs)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
-def test_split_halves_meet_at_a_chunk_boundary(monkeypatch):
-    # K_16's 23,520 chains split at rank 10,000: the parent classifies the
-    # open chains of ranks 0 .. 9,999 only, and the helper the rest; its
-    # 7,280 tridents stay below the threshold
+def test_split_walks_every_chunk_once(monkeypatch, tmp_path):
+    # K_16's 23,520 chains and 7,280 tridents in chunks of 100, so the
+    # two processes claim hundreds of times: each appends the chunks it
+    # walks to one file, and each chunk is there once.  The parent walks
+    # chunk 0, claimed before the fork
     k16 = Graph.from_edges(16, combinations(range(16), 2))
     want = exact_census(k16, 4).counts
-    monkeypatch.setattr(exact, "_SPLIT_FROM", 20_000)
-    monkeypatch.setattr(exact.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    calls = _count_classify_calls(monkeypatch)
+    _force_split(monkeypatch, chunk=100)
+    log = tmp_path / "chunks"
+    real = exact._walk
+
+    def walk(frame_set, table, lo, hi):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {frame_set.kind.value} {lo} {hi}\n")
+        return real(frame_set, table, lo, hi)
+    monkeypatch.setattr(exact, "_walk", walk)
     assert exact_census(k16, 4).counts == want
-    frames = FrameSet(k16, FrameKind.CHAIN)
-    lower = frames.unrank(np.arange(CHUNK, dtype=np.int64))
-    assert calls == [(FrameKind.CHAIN, CHUNK - int(lower.degenerate.sum())),
-                     (FrameKind.TRIDENT, 7_280)]
-    _assert_no_child_left()
+    assert_no_child_left()
+    walked = [line.split() for line in log.read_text().splitlines()]
+    for kind, total in (("chain", 23_520), ("trident", 7_280)):
+        chunks = sorted((int(lo), int(hi)) for _, k, lo, hi in walked
+                        if k == kind)
+        assert chunks == [(lo, min(lo + 100, total))
+                          for lo in range(0, total, 100)]
+        assert [str(os.getpid()), kind, "0", "100"] in walked
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
@@ -342,18 +336,22 @@ def test_a_failing_walk_leaves_no_child(monkeypatch, where):
     def codes(graph, verts, *, kind, arcs=None):
         if (os.getpid() == parent) == (where == "parent"):
             raise KeyError("classifier fails")
+        if os.getpid() == parent:
+            time.sleep(0.1)   # so that the helper claims a chunk
         return real(graph, verts, kind=kind, arcs=arcs)
     monkeypatch.setattr(exact, "induced_subgraph_codes", codes)
+    fds = open_fds()
     # the helper's failure reaches the parent as its exit status
     error = RuntimeError if where == "helper" else KeyError
     with pytest.raises(error):
         exact_census(g, 4)
-    _assert_no_child_left()
+    assert_no_child_left()
+    assert open_fds() == fds
 
 
 def test_helper_hits_that_do_not_fit_raise(monkeypatch):
-    # the helper's short hits do not fit the shared map: ValueError there,
-    # exit status 1, RuntimeError here
+    # the helper's short hits do not fit its sum: ValueError there, exit
+    # status 1, RuntimeError here
     g = random_graph(np.random.default_rng(60), 10, 0.5, False)
     _force_split(monkeypatch, chunk=5)
     parent = os.getpid()
@@ -361,11 +359,14 @@ def test_helper_hits_that_do_not_fit_raise(monkeypatch):
 
     def walk(*args):
         hits = real(*args)
-        return hits if os.getpid() == parent else hits[:-1]
+        if os.getpid() != parent:
+            return hits[:-1]
+        time.sleep(0.1)   # so that the helper claims a chunk
+        return hits
     monkeypatch.setattr(exact, "_walk", walk)
     with pytest.raises(RuntimeError, match="exit code 1"):
         exact_census(g, 3)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_a_helper_exit_status_raises(monkeypatch):
@@ -373,10 +374,10 @@ def test_a_helper_exit_status_raises(monkeypatch):
     g = random_graph(np.random.default_rng(60), 10, 0.5, False)
     _force_split(monkeypatch, chunk=5)
     real_exit = os._exit
-    monkeypatch.setattr(exact.os, "_exit", lambda status: real_exit(3))
+    monkeypatch.setattr(frames.os, "_exit", lambda status: real_exit(3))
     with pytest.raises(RuntimeError, match="exit code 3"):
         exact_census(g, 3)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_no_fork_below_the_threshold_on_one_cpu_or_with_threads(monkeypatch):
@@ -385,12 +386,12 @@ def test_no_fork_below_the_threshold_on_one_cpu_or_with_threads(monkeypatch):
 
     def fork():
         raise AssertionError("forked")
-    monkeypatch.setattr(exact.os, "fork", fork)
-    monkeypatch.setattr(exact.os, "sched_getaffinity", lambda pid: {0, 1},
+    monkeypatch.setattr(frames.os, "fork", fork)
+    monkeypatch.setattr(frames.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    assert frame_totals(g).n_chain < exact._SPLIT_FROM
+    assert frame_totals(g).n_chain < frames._SPLIT_FROM
     assert exact_census(g, 4).counts == want
-    monkeypatch.setattr(exact, "_SPLIT_FROM", 1)
+    monkeypatch.setattr(frames, "_SPLIT_FROM", 1)
     # a helper would inherit the locks another thread holds
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
@@ -401,10 +402,10 @@ def test_no_fork_below_the_threshold_on_one_cpu_or_with_threads(monkeypatch):
         release.set()
         other.join(timeout=60)
     assert not other.is_alive()
-    monkeypatch.setattr(exact.os, "sched_getaffinity", lambda pid: {3})
+    monkeypatch.setattr(frames.os, "sched_getaffinity", lambda pid: {3})
     assert exact_census(g, 4).counts == want
     # where the OS cannot say, one CPU is assumed
-    monkeypatch.delattr(exact.os, "sched_getaffinity")
+    monkeypatch.delattr(frames.os, "sched_getaffinity")
     assert exact_census(g, 4).counts == want
 
 
@@ -415,10 +416,10 @@ def test_a_failed_fork_walks_every_rank_here(monkeypatch):
 
     def fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
-    monkeypatch.setattr(exact.os, "fork", fork)
-    fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(frames.os, "fork", fork)
+    fds = open_fds()
     assert exact_census(g, 4).counts == want
-    assert len(os.listdir("/proc/self/fd")) == fds
+    assert open_fds() == fds
 
 
 # every table, the totals and an exact census, in a fresh process

@@ -11,7 +11,7 @@ from motifcensus import (EdgeListError, FrameKind, Graph, exact_census,
                          induced_subgraph_codes, load_graph, loads_graph,
                          pair_slots, run_sampled_census)
 from motifcensus.frames import FrameSet
-from motifcensus.graphs import _blocks, _mix, _PairTable
+from motifcensus.graphs import _blocks, _build, _mix, _PairTable
 from oracles import (arcs, dumps_graph, induced_code, parse_edge_list,
                      random_graph, small_graphs)
 
@@ -328,11 +328,24 @@ def test_from_edges_refuses_non_integer_ids():
         Graph.from_edges(3, [("0", "1")])
 
 
-@pytest.mark.parametrize("n", [(1 << 30) + 1, 1 << 62, -1, 2.0])
+@pytest.mark.parametrize("n", [(1 << 30) + 1, 1 << 62, -1, 2.0, True,
+                               False])
 def test_from_edges_refuses_a_bad_vertex_count(n):
     # refused before one label per vertex is built
     with pytest.raises(ValueError, match="vertex count must be an integer"):
         Graph.from_edges(n, [(0, 1)])
+
+
+def test_build_refuses_more_vertices_than_keys_hold():
+    # loads_graph builds through _build, which checks the count before it
+    # makes any array of one entry per vertex; the labels here are only a
+    # length, and no pair is given
+    class Labels:
+        def __len__(self):
+            return (1 << 30) + 1
+    with pytest.raises(ValueError, match=r"^vertex count must be an integer "
+                       r"from 0 to 2\*\*30, got 1073741825$"):
+        _build(np.empty((0, 2), dtype=np.int64), Labels(), False)
 
 
 def test_directed_must_be_a_bool():
