@@ -36,8 +36,9 @@ frames._tally_in_two): its batches, in round order, are the items the
 two processes claim one at a time.  Each process draws every batch's
 ranks from the streams it had at the fork, classifies the batches it
 claimed and drops the ranks of the others, so its streams stay where
-one process would leave them.  A target run stays in one process, since
-each round's split depends on the tallies of the last.
+one process would leave them; _tally_in_two does the claiming.  A
+target run stays in one process, since each round's split depends on
+the tallies of the last.
 """
 
 from __future__ import annotations
@@ -319,14 +320,15 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
         return np.bincount(table.entries[codes], minlength=table.n_classes)
 
     def batches(share):
-        """A round's batches, (kind, experiments), booked as planned."""
+        """A round's batches, booked as planned, as the items of a shared
+        census: (row, (kind, experiments)), row the kind's in kinds."""
         nonlocal left
         for kind, m in _round_parts(share, remaining, left).items():
             if m:
                 remaining[kind] -= m
                 left -= m
                 n[kind] += m
-                yield kind, m
+                yield kinds.index(kind), (kind, m)
 
     def even_rounds():
         """Every batch of a run without a target, booked as planned."""
@@ -335,26 +337,16 @@ def run_sampled_census(g: Graph, size: int, budget: int | None = None,
 
     stop_reason = "budget"
     if target_cv is None:
-        def work(claims):
-            """Detections of the batches claimed, a row per kind.  The
-            ranks of a batch left to the other process are drawn and
-            dropped, so each stream stays where one process leaves it."""
-            out = np.zeros((len(kinds), table.n_classes), dtype=np.int64)
-            mine = next(claims)
-            for item, (kind, m) in enumerate(even_rounds()):
-                if item == mine:
-                    out[kinds.index(kind)] += tally(kind, m)
-                    mine = next(claims)
-                else:
-                    samplers[kind].draw_ranks(rngs[kind], m)
-            return out
+        # a batch the other process claimed has its ranks drawn and
+        # dropped, so each stream stays where one process leaves it
         hits = dict(zip(kinds, _tally_in_two(
-            work, (len(kinds), table.n_classes), budget)))
+            even_rounds(), tally, (len(kinds), table.n_classes), budget,
+            skip=lambda kind, m: samplers[kind].draw_ranks(rngs[kind], m))))
     else:
         hits = {k: np.zeros(table.n_classes, dtype=np.int64) for k in kinds}
         share = 0.5
         while left:
-            for kind, m in batches(share):
+            for _, (kind, m) in batches(share):
                 hits[kind] += tally(kind, m)
             _, _, cv, lam, kind_parts, kind_var = _build_estimates(
                 koefs, totals, n, hits)

@@ -8,18 +8,19 @@ counts.  Degenerate chains (closed triangles) induce no 4-vertex set and
 are skipped.
 
 Frames are walked in vectorized chunks of ranks 0 .. total - 1, unranked by
-the same FrameSet that sampling draws random ranks from.  The division
-doubles as a check: hits must be whole multiples of koef, and chains and
-tridents must agree on every class both of them see.
+the same FrameSet that sampling draws random ranks from, once every
+kind's FrameSet has checked its total.  The division doubles as a check:
+hits must be whole multiples of koef, and chains and tridents must agree
+on every class both of them see.
 
 On Linux, where os.sched_getaffinity exists, a process that may run on
-two CPUs or more and runs no other Python thread walks a kind with at
-least frames._SPLIT_FROM frames in two processes, this one and a helper
-forked for that kind.  The kind's chunks are the items the two claim one
-at a time, through frames._tally_in_two, the protocol the sampled census
-shares.  Hits are bincount sums, so the counts do not depend on who
-walked which chunk.  No helper outlives the call.  `taskset -c 0` keeps
-a run on one CPU, and so in one process.
+two CPUs or more and runs no other Python thread walks a census of at
+least frames._SPLIT_FROM frames, all kinds together, in two processes:
+this one and one helper forked for the census.  Every kind's chunks,
+kind after kind, are the items the two claim one at a time, through
+frames._tally_in_two, the protocol the sampled census shares.  Hits are
+bincount sums, so the counts do not depend on who walked which chunk.
+No helper outlives the call, and under `taskset -c 0` none is forked.
 """
 
 from __future__ import annotations
@@ -55,29 +56,23 @@ def exact_census(g: Graph, size: int) -> ExactCensus:
     table = arrcode_table(size, g.directed)
     size = table.size
     koefs = koef_table(size, g.directed)
-    counts = np.zeros(table.n_classes, dtype=np.int64)
-    counted = np.zeros(table.n_classes, dtype=bool)
-    for kind, koef in koefs.items():
-        frames = FrameSet(g, kind)
-
-        def work(claims, frames=frames):
-            """Hits of the chunks claimed."""
-            hits = np.zeros(table.n_classes, dtype=np.int64)
-            for lo in (CHUNK * item for item in claims):
-                if lo >= frames.total:
-                    return hits
-                hits += _walk(frames, table, lo, min(lo + CHUNK, frames.total))
-        hits = _tally_in_two(work, (table.n_classes,), frames.total)
-        sees = koef > 0
-        found, rest = np.divmod(hits, np.where(sees, koef, 1))
-        if rest.any() or hits[~sees].any():
-            raise RuntimeError(
-                f"{kind.value} hits are not whole multiples of koef")
-        both = sees & counted
-        if (found[both] != counts[both]).any():
-            raise RuntimeError("chain and trident counts disagree")
-        counts[sees] = found[sees]
-        counted |= sees
+    sets = [FrameSet(g, kind) for kind in koefs]
+    hits = _tally_in_two(
+        ((row, (frames, table, lo, min(lo + CHUNK, frames.total)))
+         for row, frames in enumerate(sets)
+         for lo in range(0, frames.total, CHUNK)),
+        _walk, (len(sets), table.n_classes), sum(f.total for f in sets))
+    koef = np.stack(list(koefs.values()))
+    found, rest = np.divmod(hits, np.maximum(koef, 1))
+    wrong = (rest + hits * (koef == 0)).any(axis=1)
+    if wrong.any():
+        raise RuntimeError(f"{sets[wrong.argmax()].kind.value} hits are "
+                           f"not whole multiples of koef")
+    # a kind finds no class it does not see, so each class's count is
+    # the largest any kind finds
+    counts = found.max(axis=0)
+    if ((koef > 0) & (found != counts)).any():
+        raise RuntimeError("chain and trident counts disagree")
 
     by_class = {cls.class_id: int(counts[cls.class_id])
                 for cls in table.classes if cls.connected}

@@ -26,9 +26,9 @@ run on one graph that holds every class representative: koef_table
 returns them as a map from each kind to its per-class counts.
 
 Both censuses share their work with a forked helper through one
-protocol, _tally_in_two: a census numbers its items (exact chunks, or
-the batches of a sampled run without a target), and two processes claim
-them one at a time and add up their tallies.
+protocol, _tally_in_two: a census lists its items (every kind's chunks
+of an exact walk, or the batches of a sampled run without a target), and
+two processes claim them one at a time and add up their tallies.
 """
 
 from __future__ import annotations
@@ -452,18 +452,19 @@ def _helper_allowed() -> bool:
     return len(os.sched_getaffinity(0)) >= 2
 
 
-def _tally_in_two(work, shape: tuple, n_frames: int) -> np.ndarray:
-    """work(claims) over every item of a census, in one process or two.
+def _tally_in_two(items, tally, shape: tuple, n_frames: int,
+                  skip=None) -> np.ndarray:
+    """Tallies over every item of a census, in one process or two.
 
-    A census numbers its items 0, 1, ... in a fixed order.  work takes
-    claims, an endless iterator of the increasing numbers of the items its
-    process takes; it handles those, stops at the first number past its
-    last item and returns int64 tallies of the given shape.  Tallies are
-    sums, so they do not depend on which process took which item.
+    items yields the census's items in one fixed order, each as (row,
+    args).  The process that claims an item adds tally(*args) to row row
+    of its int64 tallies of the given shape; the other calls skip(*args),
+    when skip is given.  Tallies are sums, so they do not depend on which
+    process took which item.
 
     A census of n_frames frames, at least _SPLIT_FROM, in a process that
-    _helper_allowed lets fork, runs work in a forked helper too, and the
-    two claim items one at a time, so neither waits on a fixed half.  An
+    _helper_allowed lets fork, runs in a forked helper too, and the two
+    claim items one at a time, so neither waits on a fixed half.  An
     anonymous shared map holds the helper's tallies and the number of the
     next item to claim; a pipe holding one token byte serializes claims.
     This process claims item 0 before it forks.  The helper writes its
@@ -475,6 +476,18 @@ def _tally_in_two(work, shape: tuple, n_frames: int) -> np.ndarray:
     process held: this process raises once the helper has failed, and
     the helper once this process is gone.
     """
+    def work(claims):
+        """Tallies of the items whose numbers claims yields, increasing."""
+        out = np.zeros(shape, dtype=np.int64)
+        mine = next(claims)
+        for item, (row, args) in enumerate(items):
+            if item == mine:
+                out[row] += tally(*args)
+                mine = next(claims)
+            elif skip is not None:
+                skip(*args)
+        return out
+
     if n_frames < _SPLIT_FROM or not _helper_allowed():
         return work(itertools.count())
     # imported here: each one's shared library adds to the memory of every

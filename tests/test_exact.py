@@ -5,6 +5,7 @@ import threading
 import time
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -209,20 +210,47 @@ def test_star_tridents_span_two_chunks(monkeypatch):
     assert CHUNK == 10_000
 
 
-def test_inconsistent_hits_raise(monkeypatch):
-    # a classifier that calls every frame a clique breaks divisibility
-    rng = np.random.default_rng(57)
-    g = random_graph(rng, 9, 0.5, False)
-    kinds = []
+def _all_cliques(monkeypatch):
+    # a classifier that calls every frame a K4
+    monkeypatch.setattr(exact, "induced_subgraph_codes",
+                        lambda g, v, *, kind, arcs=None:
+                        np.full(v.shape[1], 0b111111))
 
-    def clique(g, v, *, kind, arcs=None):
-        kinds.append(kind)
-        return np.full(v.shape[1], 0b111111)
-    monkeypatch.setattr(exact, "induced_subgraph_codes", clique)
-    with pytest.raises(RuntimeError):
+
+def test_inconsistent_hits_raise(monkeypatch):
+    # calling every frame a clique breaks divisibility; the message names
+    # the first kind, in walk order, whose hits break it
+    g = random_graph(np.random.default_rng(57), 9, 0.5, False)
+    _all_cliques(monkeypatch)
+    with pytest.raises(RuntimeError,
+                       match="chain hits are not whole multiples"):
         exact_census(g, 4)
-    # the chains, walked first, already break it
-    assert kinds == [FrameKind.CHAIN]
+
+
+def test_kinds_that_disagree_raise(monkeypatch):
+    # K_{1,4} has 4 tridents and no chain: called K4s, the tridents are
+    # whole multiples of the trident koef, 4, and find one K4, where the
+    # chains find none
+    star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
+    assert frame_totals(star).n_trident == 4
+    assert frame_totals(star).n_chain == 0
+    _all_cliques(monkeypatch)
+    with pytest.raises(RuntimeError, match="counts disagree"):
+        exact_census(star, 4)
+
+
+def test_a_kind_past_64_bits_is_refused_before_any_walk(monkeypatch):
+    # one chain frame, around edge (1, 2), and C(3,810,780, 3) tridents,
+    # past 2**63 - 1: every frame set is built before the walk
+    g = SimpleNamespace(directed=False,
+                        degrees=np.array([3_810_780, 2, 2], dtype=np.int64),
+                        edge_u=np.array([1]), edge_v=np.array([2]))
+    assert frame_totals(g).n_chain == 1
+    walks = []
+    monkeypatch.setattr(exact, "_walk", lambda *args: walks.append(args))
+    with pytest.raises(ValueError, match="64-bit"):
+        exact_census(g, 4)
+    assert walks == []
 
 
 def test_traced_classification_sees_every_frame(monkeypatch):
@@ -283,16 +311,17 @@ def test_split_counts_equal_one_process(monkeypatch, directed):
     got = [[exact_census(g, size).counts for size in (3, 4)]
            for g in graphs]
     assert got == want
-    # one helper per kind: forks at size 3, chains and tridents at size 4
-    assert len(forks) == 3 * len(graphs)
+    # one helper per census: one at size 3, one for both kinds at size 4
+    assert len(forks) == 2 * len(graphs)
     assert_no_child_left()
 
 
 def test_split_walks_every_chunk_once(monkeypatch, tmp_path):
     # K_16's 23,520 chains and 7,280 tridents in chunks of 100, so the
     # two processes claim hundreds of times: each appends the chunks it
-    # walks to one file, and each chunk is there once.  The parent walks
-    # chunk 0, claimed before the fork
+    # walks to one file, and each chunk of both kinds is there once.  The
+    # parent walks the census's item 0, chains 0 .. 100, claimed before
+    # the fork
     k16 = Graph.from_edges(16, combinations(range(16), 2))
     want = exact_census(k16, 4).counts
     _force_split(monkeypatch, chunk=100)
@@ -312,7 +341,7 @@ def test_split_walks_every_chunk_once(monkeypatch, tmp_path):
                         if k == kind)
         assert chunks == [(lo, min(lo + 100, total))
                           for lo in range(0, total, 100)]
-        assert [str(os.getpid()), kind, "0", "100"] in walked
+    assert [str(os.getpid()), "chain", "0", "100"] in walked
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
@@ -389,7 +418,8 @@ def test_no_fork_below_the_threshold_on_one_cpu_or_with_threads(monkeypatch):
     monkeypatch.setattr(frames.os, "fork", fork)
     monkeypatch.setattr(frames.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    assert frame_totals(g).n_chain < frames._SPLIT_FROM
+    totals = frame_totals(g)
+    assert totals.n_chain + totals.n_trident < frames._SPLIT_FROM
     assert exact_census(g, 4).counts == want
     monkeypatch.setattr(frames, "_SPLIT_FROM", 1)
     # a helper would inherit the locks another thread holds
@@ -407,6 +437,22 @@ def test_no_fork_below_the_threshold_on_one_cpu_or_with_threads(monkeypatch):
     # where the OS cannot say, one CPU is assumed
     monkeypatch.delattr(frames.os, "sched_getaffinity")
     assert exact_census(g, 4).counts == want
+
+
+def test_the_threshold_counts_every_kind_of_a_census(monkeypatch):
+    # neither kind alone reaches the threshold, both together do
+    g = random_graph(np.random.default_rng(61), 12, 0.5, False)
+    want = exact_census(g, 4).counts
+    totals = frame_totals(g)
+    force_split(monkeypatch)
+    forks = count_forks(monkeypatch)
+    whole = totals.n_chain + totals.n_trident
+    assert max(totals.n_chain, totals.n_trident) < whole
+    for split_from in (whole + 1, whole):
+        monkeypatch.setattr(frames, "_SPLIT_FROM", split_from)
+        assert exact_census(g, 4).counts == want
+    assert forks == [os.getpid()]
+    assert_no_child_left()
 
 
 def test_a_failed_fork_walks_every_rank_here(monkeypatch):
